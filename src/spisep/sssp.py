@@ -56,31 +56,12 @@ def _full_pairs(p: int) -> list[tuple[int, int]]:
     return pairs
 
 
-@lru_cache(maxsize=None)
-def _sp_basis_cached(p: int) -> tuple[SpBasisElement, ...]:
-    n = 2 * p
-    elems: list[SpBasisElement] = []
-
-    def E(i: int, j: int) -> np.ndarray:
-        M = np.zeros((n, n))
-        M[i - 1, j - 1] = 1.0
-        return M
-
-    for i, j in _upper_pairs(p):
-        elems.append(
-            SpBasisElement(E(i, j + p) + E(j, i + p), len(elems), f"E{i},{j + p}+E{j},{i + p}")
-        )
-    for i, j in _upper_pairs(p):
-        elems.append(
-            SpBasisElement(E(i + p, j) + E(j + p, i), len(elems), f"E{i + p},{j}+E{j + p},{i}")
-        )
-    for i, j in _full_pairs(p):
-        elems.append(
-            SpBasisElement(E(i, j) - E(j + p, i + p), len(elems), f"E{i},{j}-E{j + p},{i + p}")
-        )
-    for e in elems:
-        e.matrix.setflags(write=False)
-    return tuple(elems)
+def _basis_terms(p: int) -> list[tuple[tuple[int, int, float], tuple[int, int, float]]]:
+    # the two (row, column, coefficient) entries of each basis element, 1-based, in basis order
+    terms = [((i, j + p, 1.0), (j, i + p, 1.0)) for i, j in _upper_pairs(p)]
+    terms += [((i + p, j, 1.0), (j + p, i, 1.0)) for i, j in _upper_pairs(p)]
+    terms += [((i, j, 1.0), (j + p, i + p, -1.0)) for i, j in _full_pairs(p)]
+    return terms
 
 
 def sp_basis(p: int) -> list[SpBasisElement]:
@@ -89,11 +70,20 @@ def sp_basis(p: int) -> list[SpBasisElement]:
     2p^2 + p elements: first {E_{i,j+p} + E_{j,i+p} : i <= j}, then
     {E_{i+p,j} + E_{j+p,i} : i <= j} (each ordered diagonal-first, then by
     superdiagonal), then {E_{i,j} - E_{j+p,i+p}} with each superdiagonal
-    followed by the matching subdiagonal.
+    followed by the matching subdiagonal.  The element matrices are read-only.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
-    return list(_sp_basis_cached(int(p)))
+    p = int(p)
+    elems: list[SpBasisElement] = []
+    for k, ((r1, c1, v1), (r2, c2, v2)) in enumerate(_basis_terms(p)):
+        M = np.zeros((2 * p, 2 * p))
+        M[r1 - 1, c1 - 1] += v1
+        M[r2 - 1, c2 - 1] += v2
+        M.setflags(write=False)
+        sign = "+" if v2 > 0 else "-"
+        elems.append(SpBasisElement(M, k, f"E{r1},{c1}{sign}E{r2},{c2}"))
+    return elems
 
 
 def triangle_pairs(n: int) -> list[tuple[int, int]]:
@@ -172,6 +162,53 @@ def verification_matrix(N, zero_tol: float | None = None) -> VerificationMatrix:
     )
 
 
+@lru_cache(maxsize=8)
+def _column_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis entries grouped by the column of the 2p x 2p matrix they sit in.
+
+    Row c of the returned (rows, coefs, elems) arrays lists, for each entry
+    (r, c, v) of basis element k, the 0-based r, the coefficient v and k.
+    Every column holds exactly 2p entries once the doubled diagonal entries
+    2 E_{i,i+p} and 2 E_{i+p,i} are merged, and no element appears twice in
+    one column.  O(p^2) integers, read-only.
+    """
+    n = 2 * p
+    columns: list[dict[tuple[int, int], float]] = [{} for _ in range(n)]
+    for k, terms in enumerate(_basis_terms(p)):
+        for r, c, v in terms:
+            col = columns[c - 1]
+            col[k, r - 1] = col.get((k, r - 1), 0.0) + v
+    elems = np.array([[k for k, _ in col] for col in columns], dtype=np.intp)
+    rows = np.array([[r for _, r in col] for col in columns], dtype=np.intp)
+    coefs = np.array([list(col.values()) for col in columns])
+    for arr in (rows, coefs, elems):
+        arr.setflags(write=False)
+    return rows, coefs, elems
+
+
+def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows at positions (a[t], b[t]) (0-based) of the verification matrix of N.
+
+    Column k is M_k.T N + N M_k for the k-th element of :func:`sp_basis`.  An
+    entry (r, c, v) of M_k adds v N[r, x] at position {c, x} for every x (twice
+    on the diagonal), so each row is gathered from N without forming any M_k.
+    """
+    p = N.shape[0] // 2
+    rows, coefs, elems = _column_terms(p)
+    out = np.zeros((a.size, 2 * p * p + p))
+    t = np.arange(a.size)[:, None]
+    out[t, elems[a]] = coefs[a] * N[rows[a], b[:, None]]
+    out[t, elems[b]] += coefs[b] * N[rows[b], a[:, None]]
+    return out
+
+
+def _nonedge_pairs(N: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    # 0-based positions (i, j), i < j, of the structural zeros of N, in triangle_pairs order
+    j, i = np.tril_indices(N.shape[0], -1)
+    keep = np.abs(N[i, j]) <= zero_tol
+    return i[keep], j[keep]
+
+
 def _numeric_rank(A: np.ndarray, rank_tol: float) -> int:
     if A.size == 0:
         return 0
@@ -185,49 +222,47 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     """SSSP test via row rank of the reduced verification matrix.
 
     True iff the rows indexed by non-edges are linearly independent
-    (singular values above ``rank_tol`` times the largest).
+    (singular values above ``rank_tol`` times the largest).  The rows are
+    those of ``verification_matrix(N).reduced``, built directly from N.
     """
     N = as_symmetric(N, even=True)
     if not is_positive_definite(N):
         raise NotPositiveDefiniteError("SSSP is defined for positive definite matrices")
-    vm = verification_matrix(N, zero_tol=zero_tol)
-    k = vm.n_rows_reduced
-    return k == 0 or _numeric_rank(vm.reduced, rank_tol) == k
+    if zero_tol is None:
+        zero_tol = pattern_tol(N)
+    a, b = _nonedge_pairs(N, zero_tol)
+    return a.size == 0 or _numeric_rank(_tangent_rows(N, a, b), rank_tol) == a.size
 
 
-def _free_pairs(N: np.ndarray, zero_tol: float) -> list[tuple[int, int]]:
+@lru_cache(maxsize=8)
+def _triangle_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # row of position (x, y) in triangle_pairs order, and its weight: sqrt 2 off the
+    # diagonal; 2 on it, where a symmetric Y = E_ab + E_ba puts its value twice
+    idx = np.arange(n)
+    x, y = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+    slot = y * (y + 1) // 2 + x
+    weight = np.where(x == y, 2.0, np.sqrt(2.0))
+    slot.setflags(write=False)
+    weight.setflags(write=False)
+    return slot, weight
+
+
+def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column t is Omega N Y - Y N Omega for Y = E_ab + E_ba at (a[t], b[t]).
+
+    That matrix is symmetric, so only its upper triangle is kept, with the
+    off-diagonal rows weighted by sqrt 2: the Gram matrix, hence the
+    singular values and right singular vectors, equal those of the n^2-row
+    system of all entries.
+    """
     n = N.shape[0]
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if abs(N[i - 1, j - 1]) <= zero_tol
-    ]
-
-
-def _commutation_system(N: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Columns are vec(Omega N Y_ij - Y_ij N Omega) for Y_ij = E_ij + E_ji."""
-    n = N.shape[0]
-    om = omega(n // 2)
-    ON = om @ N
-    NO = N @ om
-    cols = []
-    for i, j in pairs:
-        C = np.zeros((n, n))
-        C[:, j - 1] += ON[:, i - 1]
-        C[:, i - 1] += ON[:, j - 1]
-        C[i - 1, :] -= NO[j - 1, :]
-        C[j - 1, :] -= NO[i - 1, :]
-        cols.append(C.reshape(-1))
-    return np.column_stack(cols) if cols else np.zeros((n * n, 0))
-
-
-def _witness_from_vector(pairs, v, n: int) -> np.ndarray:
-    Y = np.zeros((n, n))
-    for (i, j), y in zip(pairs, v):
-        Y[i - 1, j - 1] = Y[j - 1, i - 1] = y
-    m = np.max(np.abs(Y))
-    return Y / m if m > 0 else Y
+    ON = omega(n // 2) @ N
+    slot, weight = _triangle_slots(n)
+    out = np.zeros((n * (n + 1) // 2, a.size))
+    t = np.arange(a.size)
+    out[slot[:, b], t] = weight[:, b] * ON[:, a]
+    out[slot[:, a], t] += weight[:, a] * ON[:, b]
+    return out
 
 
 def has_sssp_nullspace(
@@ -238,25 +273,26 @@ def has_sssp_nullspace(
     Parameterizes a symmetric Y by its entries on the non-edges of the
     pattern (so that N o Y = 0 holds structurally) and asks whether
     Omega N Y = Y N Omega forces Y = 0.  Returns (flag, witness); on failure
-    the witness is a nonzero Y, scaled to unit max entry.
+    the witness is a nonzero Y, scaled to unit max entry.  Like
+    :func:`has_sssp_rank`, raises NotPositiveDefiniteError unless N is
+    positive definite.
     """
     N = as_symmetric(N, even=True)
+    if not is_positive_definite(N):
+        raise NotPositiveDefiniteError("SSSP is defined for positive definite matrices")
     if zero_tol is None:
         zero_tol = pattern_tol(N)
-    pairs = _free_pairs(N, zero_tol)
-    if not pairs:
+    a, b = _nonedge_pairs(N, zero_tol)
+    if a.size == 0:
         return True, None
-    A = _commutation_system(N, pairs)
-    _, s, Vt = np.linalg.svd(A)
-    k = len(pairs)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return False, _witness_from_vector(pairs, Vt[-1], N.shape[0])
-    if s.size < k:  # more unknowns than equations: certainly rank deficient
-        return False, _witness_from_vector(pairs, Vt[-1], N.shape[0])
-    if s[k - 1] > rank_tol * smax:
+    A = _commutation_rows(N, a, b)
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[0] > 0.0 and s[a.size - 1] > rank_tol * s[0]:
         return True, None
-    return False, _witness_from_vector(pairs, Vt[-1], N.shape[0])
+    y = np.linalg.svd(A, full_matrices=False)[2][-1]
+    W = np.zeros_like(N)
+    W[a, b] = W[b, a] = y
+    return False, W / np.max(np.abs(W))
 
 
 def tangent_element(N, M) -> np.ndarray:
@@ -276,7 +312,8 @@ def in_tangent_space(N, R, tol: float = 1e-8) -> bool:
     b = vec_triangle(R)
     if not np.any(b):
         return True
-    A = verification_matrix_full(N).full
+    j, i = np.tril_indices(N.shape[0])
+    A = _tangent_rows(N, i, j)
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     return float(np.linalg.norm(A @ x - b)) <= tol * max(1.0, float(np.linalg.norm(b)))
 
@@ -296,13 +333,10 @@ def has_sssp_in_direction(
     if zero_tol is None:
         zero_tol = pattern_tol(N)
     r_tol = pattern_tol(R)
-    pairs = [
-        (i, j) for i, j in _free_pairs(N, zero_tol) if abs(R[i - 1, j - 1]) <= r_tol
-    ]
-    if not pairs:
-        return True
-    A = _commutation_system(N, pairs)
-    return _numeric_rank(A, rank_tol) == len(pairs)
+    a, b = _nonedge_pairs(N, zero_tol)
+    keep = np.abs(R[a, b]) <= r_tol
+    a, b = a[keep], b[keep]
+    return a.size == 0 or _numeric_rank(_commutation_rows(N, a, b), rank_tol) == a.size
 
 
 def direction_graph(G: LabeledGraph, R, zero_tol: float | None = None) -> LabeledGraph:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spisep as sp
+from spisep import sssp
 
 # split direct sum of the two tridiagonal 3x3 blocks used in the liberation example
 A_TRI = np.array([[2.0, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -22,6 +23,17 @@ M_LIB = np.array(
         [0, 0, 1, 0, 0, 0],
     ]
 ) / 3.0
+N_CYCLE = np.array([[2.0, 1, 0, 1], [1, 2, 1, 0], [0, 1, 2, -1], [1, 0, -1, 2]])
+N_PATH6 = np.array(
+    [
+        [1, 1 / 2, 0, 0, 0, 0],
+        [1 / 2, 5 / 4, 1 / 2, 0, 0, 0],
+        [0, 1 / 2, 24 / 25, 1 / 10, 0, 0],
+        [0, 0, 1 / 10, 1, -1 / 2, 0],
+        [0, 0, 0, -1 / 2, 5 / 4, -1 / 2],
+        [0, 0, 0, 0, -1 / 2, 1],
+    ]
+)
 
 
 def test_basis_size_and_order_p1():
@@ -57,6 +69,7 @@ def test_basis_elements_are_hamiltonian(p):
     assert len(basis) == 2 * p * p + p
     for elem in basis:
         assert sp.is_hamiltonian(elem.matrix)
+        assert not elem.matrix.flags.writeable
 
 
 def test_vec_triangle_identity_and_order():
@@ -94,7 +107,7 @@ def test_verification_matrix_shape_and_linearity():
 
 
 def test_reduced_rows_of_cycle_pattern():
-    N = np.array([[2.0, 1, 0, 1], [1, 2, 1, 0], [0, 1, 2, -1], [1, 0, -1, 2]])
+    N = N_CYCLE
     vm = sp.verification_matrix(N)
     assert vm.row_index == ((1, 3), (2, 4))
     n11, n12, n22, n33, n34, n44 = N[0, 0], N[0, 1], N[1, 1], N[2, 2], N[2, 3], N[3, 3]
@@ -315,16 +328,7 @@ def test_continuation_realizes_distinct_targets():
 def test_continuation_refines_multiplicity_from_seed():
     # seed: path pattern with spectrum {sqrt(209)/20, 1, 1} and the SSSP;
     # refining the double eigenvalue into close distinct values stays realizable
-    N_seed = np.array(
-        [
-            [1, 1 / 2, 0, 0, 0, 0],
-            [1 / 2, 5 / 4, 1 / 2, 0, 0, 0],
-            [0, 1 / 2, 24 / 25, 1 / 10, 0, 0],
-            [0, 0, 1 / 10, 1, -1 / 2, 0],
-            [0, 0, 0, -1 / 2, 5 / 4, -1 / 2],
-            [0, 0, 0, 0, -1 / 2, 1],
-        ]
-    )
+    N_seed = N_PATH6
     assert sp.has_sssp_rank(N_seed)
     G = sp.graph_of_matrix(N_seed)
     target = np.array([np.sqrt(209) / 20, 0.98, 1.02])
@@ -338,3 +342,129 @@ def test_continuation_rejects_bad_targets():
         sp.continuation_realize(sp.empty_graph(4), [1.0, -2.0])
     with pytest.raises(ValueError):
         sp.continuation_realize(sp.empty_graph(4), [1.0, 2.0, 3.0])
+
+
+def _commutation_system_n2(N, a, b):
+    # reference: all n^2 entries of Omega N Y - Y N Omega, one column per Y = E_ab + E_ba
+    n = N.shape[0]
+    om = sp.omega(n // 2)
+    cols = []
+    for i, j in zip(a, b):
+        Y = np.zeros((n, n))
+        Y[i, j] = Y[j, i] = 1.0
+        cols.append((om @ N @ Y - Y @ N @ om).reshape(-1))
+    return np.column_stack(cols)
+
+
+def _oracle_cases():
+    """The worked matrices of this file plus random patterned PD matrices at p = 1..5."""
+    B = np.array([[-1.0, 1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    A = sp.random_pd(3, np.random.default_rng(3))
+    cases = [
+        N_SPLIT, N_CYCLE, N_PATH6, sp.shear_square(B),
+        sp.shear_square(sp.path_shear_block(3)), np.eye(2), np.eye(4),
+        np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 2.0, 2.0, 1.0]),
+        np.block([[A, np.zeros((3, 3))], [np.zeros((3, 3)), np.linalg.inv(A)]]),
+        sp.random_pd_with_graph(sp.complete_graph(6), np.random.default_rng(2)),
+    ]
+    rng = np.random.default_rng(12)
+    for p in range(1, 6):
+        n = 2 * p
+        for _ in range(8):
+            prob = rng.uniform(0.1, 0.9)
+            edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                     if rng.uniform() < prob]
+            cases.append(sp.random_pd_with_graph(sp.LabeledGraph.from_edges(n, edges), rng))
+    return cases
+
+
+def test_direct_rows_equal_reference_reduced_rows():
+    for N in _oracle_cases():
+        a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+        vm = sp.verification_matrix(N)
+        assert vm.row_index == tuple((int(i) + 1, int(j) + 1) for i, j in zip(a, b))
+        np.testing.assert_allclose(sssp._tangent_rows(N, a, b), vm.reduced, rtol=0, atol=1e-13)
+        j, i = np.tril_indices(N.shape[0])
+        np.testing.assert_allclose(sssp._tangent_rows(N, i, j), vm.full, rtol=0, atol=1e-13)
+
+
+def test_triangle_commutation_system_keeps_singular_values():
+    for N in _oracle_cases():
+        a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+        if a.size == 0:
+            continue
+        s = np.linalg.svd(sssp._commutation_rows(N, a, b), compute_uv=False)
+        want = np.linalg.svd(_commutation_system_n2(N, a, b), compute_uv=False)
+        # rounding-level singular values of failing inputs need an absolute floor
+        np.testing.assert_allclose(s, want, rtol=1e-10, atol=1e-13 * want[0])
+
+
+def test_failure_witnesses_certify_failure():
+    failures = 0
+    for N in _oracle_cases():
+        flag, W = sp.has_sssp_nullspace(N)
+        assert flag == sp.has_sssp_rank(N)
+        if flag:
+            assert W is None
+            continue
+        failures += 1
+        assert np.max(np.abs(W)) == 1.0
+        assert np.max(np.abs(N * W)) == 0
+        om = sp.omega(N.shape[0] // 2)
+        resid = np.linalg.norm(om @ N @ W - W @ N @ om)
+        assert resid <= 1e-8 * np.linalg.norm(N) * np.linalg.norm(W)
+    assert failures >= 5
+
+
+@pytest.mark.parametrize(
+    "N", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1.0, 2.0, 3.0])]
+)
+def test_both_oracles_reject_the_same_indefinite_input(N):
+    with pytest.raises(sp.NotPositiveDefiniteError):
+        sp.has_sssp_rank(N)
+    with pytest.raises(sp.NotPositiveDefiniteError):
+        sp.has_sssp_nullspace(N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sssp_verdicts_invariant_under_monomial_relabeling(data):
+    p = data.draw(st.integers(1, 4))
+    n = 2 * p
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = sp.LabeledGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    N = sp.random_pd_with_graph(G, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    # a valid sigma permutes the pairs {i, i+p} and may flip each one
+    perm = data.draw(st.permutations(range(1, p + 1)))
+    flips = data.draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    sigma = [0] * n
+    for i, (k, flip) in enumerate(zip(perm, flips)):
+        sigma[i], sigma[i + p] = (k + p, k) if flip else (k, k + p)
+    assert sp.is_valid_symplectic_relabeling(sigma)
+    M = sp.monomial_relabel(N, sigma)
+    verdict = sp.has_sssp_rank(N)
+    assert sp.has_sssp_nullspace(N)[0] == verdict
+    assert sp.has_sssp_rank(M) == verdict
+    assert sp.has_sssp_nullspace(M)[0] == verdict
+
+
+def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle called the reference path")
+
+    for name in ("sp_basis", "verification_matrix_full", "verification_matrix"):
+        monkeypatch.setattr(sssp, name, refuse)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(A, full_matrices=True, compute_uv=True, **kwargs):
+        assert not (compute_uv and full_matrices)
+        shapes.append(A.shape)
+        return svd(A, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    N = sp.shear_square(sp.path_shear_block(3))  # fails, so the witness path runs too
+    assert not sp.has_sssp_rank(N)
+    assert not sp.has_sssp_nullspace(N)[0]
+    assert len(shapes) == 3 and max(max(s) for s in shapes) <= 6 * 7 // 2
