@@ -97,16 +97,25 @@ def is_positive_definite(N, tol: float | None = None) -> bool:
         return False
     if np.min(d) <= tol:
         return False
-    _, D, _ = scipy.linalg.ldl(N)
-    i, n = 0, N.shape[0]
+    if not np.isfinite(N).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    # The pivots are read straight from LAPACK's compact output: D's blocks
+    # sit on the diagonal and first subdiagonal, and a 2x2 block shows as a
+    # pair of equal negative ipiv entries.  The workspace query keeps the
+    # blocked code path that scipy.linalg.ldl would take.
+    n = N.shape[0]
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0])
+    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(N, lower=1, lwork=lwork)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
+    i = 0
     while i < n:
-        if i + 1 < n and D[i + 1, i] != 0.0:
-            block = D[i : i + 2, i : i + 2]
-            if np.min(np.linalg.eigvalsh(block)) <= tol:
+        if ipiv[i] < 0:
+            if np.min(np.linalg.eigvalsh(ldu[i : i + 2, i : i + 2], UPLO="L")) <= tol:
                 return False
             i += 2
         else:
-            if D[i, i] <= tol:
+            if ldu[i, i] <= tol:
                 return False
             i += 1
     return True

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +49,18 @@ class LabeledGraph:
     def has_edge(self, i: int, j: int) -> bool:
         return _norm_edge((i, j)) in self.edges
 
+    @cached_property
+    def _neighbor_sets(self) -> dict[int, frozenset[int]]:
+        # built once per instance; not a field, so equality and hashing
+        # still see only order and edges
+        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.order + 1)}
+        for i, j in self.edges:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        return {v: frozenset(s) for v, s in nbrs.items()}
+
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(j if i == v else i for i, j in self.edges if v in (i, j))
+        return self._neighbor_sets.get(v, frozenset())
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -96,7 +107,7 @@ class LabeledGraph:
         return len(self.components()) == 1
 
     def is_tree(self) -> bool:
-        return self.is_connected() and self.size == self.order - 1
+        return self.size == self.order - 1 and self.is_connected()
 
 
 def graph_of_matrix(N, zero_tol: float | None = None) -> LabeledGraph:

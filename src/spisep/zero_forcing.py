@@ -1,15 +1,17 @@
-"""Coupled, loop, and standard zero forcing numbers by exhaustive search.
+"""Coupled, loop, and standard zero forcing numbers by exact search.
 
 The color change processes run on bitmask adjacency internally; minimum
-forcing sets are found by cardinality-increasing subset search, which is
-exact and fast enough at desk scale (orders <= 20).  Vertices that no rule
-can ever force (isolated vertices, for the loop and standard rules) are
-pinned into every candidate set instead of being searched over.
+forcing sets are found by the Wavefront search of Butler et al. (Sage
+Minimum Rank Library), a cheapest-first search over closed blue sets,
+adapted here to the self-forcing rule of the loop and coupled processes.
+Vertices that no rule can ever force (isolated vertices, for the loop and
+standard rules) are pinned into every forcing set instead of being searched
+over.  The search is exact; its cost grows with the number of closed sets
+it meets, so orders are guarded at 20 by default.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import symplectic_spectrum
@@ -87,21 +89,55 @@ def _to_mask(vertices) -> int:
 def _min_forcing_set(
     masks: list[int], n: int, self_ok: int, pinned: int
 ) -> tuple[int, int]:
+    """Minimum forcing set by the Wavefront search over closed blue sets.
+
+    From a closed set S, the step at vertex v buys every white vertex of
+    ``T_v = {v} | R(v)`` but one, and that one is forced for free: by v if v
+    is blue or bought, or by v itself under the self-forcing rule (allowed
+    by ``self_ok``).  A white v whose relevant set is already blue and which
+    may not self-force is simply bought.  Every step costs at least one
+    vertex, so expanding closed sets in order of cost (Dijkstra with integer
+    buckets) reaches the full set first at the minimum size; each closed set
+    keeps the smallest ``(cost, bought mask)`` that reaches it, with the
+    highest white vertex of ``T_v`` taken as the free one.  Returns
+    ``(size, blue mask)``; the mask includes ``pinned``.
+    """
     full = (1 << n) - 1
-    free = [v for v in range(n) if not (pinned >> v) & 1]
+    start = _closure(masks, n, pinned, self_ok)
     base_k = pinned.bit_count()
-    for extra in range(0, len(free) + 1):
-        for combo in itertools.combinations(free, extra):
-            blue = pinned | _to_mask(v + 1 for v in combo)
-            if _closure(masks, n, blue, self_ok) == full:
-                return base_k + extra, blue
+    best = {start: (0, pinned)}
+    buckets: list[set[int]] = [set() for _ in range(n + 1)]
+    buckets[0].add(start)
+    for cost in range(n + 1):
+        if best.get(full, (n + 1,))[0] == cost:
+            return base_k + cost, best[full][1]
+        for S in buckets[cost]:
+            if best[S][0] != cost:
+                continue
+            witness = best[S][1]
+            for v in range(n):
+                bit = 1 << v
+                add = (masks[v] | bit) & ~S
+                if not add:
+                    continue
+                free = 1 << (add.bit_length() - 1)
+                if free == bit and not self_ok & bit:
+                    rest = add ^ bit
+                    free = 1 << (rest.bit_length() - 1) if rest else 0
+                bought = add ^ free
+                step = cost + bought.bit_count()
+                T = _closure(masks, n, S | add, self_ok)
+                entry = (step, witness | bought)
+                if entry < best.get(T, (n + 1, 0)):
+                    best[T] = entry
+                    buckets[step].add(T)
     return n, full  # unreachable: B = V always forces
 
 
 def _guard(n: int, max_n: int):
     if n > max_n:
         raise ValueError(
-            f"order {n} exceeds the exhaustive-search guard {max_n}; raise max_n to override"
+            f"order {n} exceeds the forcing-search guard {max_n}; raise max_n to override"
         )
 
 

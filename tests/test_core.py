@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +67,59 @@ def test_positive_definite():
     assert not sp.is_positive_definite(np.zeros((3, 3)))
     minors = [np.linalg.det(N_PAW[:k, :k]) for k in range(1, 5)]
     assert np.allclose(minors, [3, 2, 1, 1])
+
+
+def _pd_reference(N):
+    """The PD verdict read from scipy.linalg.ldl's block diagonal D."""
+    N = sp.as_symmetric(N)
+    d = np.diag(N)
+    tol = 1e-10 * float(np.max(d)) if np.max(d) > 0 else 0.0
+    if np.min(d) <= tol:
+        return False
+    _, D, _ = scipy.linalg.ldl(N)
+    i, n = 0, N.shape[0]
+    while i < n:
+        if i + 1 < n and D[i + 1, i] != 0.0:
+            if np.min(np.linalg.eigvalsh(D[i : i + 2, i : i + 2])) <= tol:
+                return False
+            i += 2
+        else:
+            if D[i, i] <= tol:
+                return False
+            i += 1
+    return True
+
+
+def _pd_test_matrices(rng):
+    for _ in range(600):
+        n = int(rng.integers(1, 11))
+        A = rng.standard_normal((n, n))
+        S = A + A.T
+        # shift around the smallest eigenvalue: both verdicts, many pivots
+        # of mixed sign and 2x2 blocks behind a positive diagonal
+        w = np.linalg.eigvalsh(S)
+        yield S + (-w[0] + rng.uniform(-1.0, 1.0) * (w[-1] - w[0]) * 0.2) * np.eye(n)
+    for n in (2, 5, 9, 80):
+        # near-singular: the smallest eigenvalue straddles the 1e-10 tolerance
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for lam in (-1e-6, -1e-12, 0.0, 1e-12, 1e-11, 1e-9, 1e-6):
+            w = np.concatenate([[lam], rng.uniform(0.5, 2.0, n - 1)])
+            yield (Q * w) @ Q.T
+
+
+def test_positive_definite_matches_ldl_reference():
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for N in _pd_test_matrices(rng):
+        got = sp.is_positive_definite(N)
+        assert got == _pd_reference(N)
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_positive_definite_rejects_non_finite():
+    with pytest.raises(ValueError):
+        sp.is_positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_spectrum_of_identity_has_single_cluster():

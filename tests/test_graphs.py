@@ -195,3 +195,16 @@ def test_labeled_graph_rejects_bad_edges():
         sp.LabeledGraph.from_edges(3, [(1, 4)])
     with pytest.raises(ValueError):
         sp.LabeledGraph.from_edges(3, [(2, 2)])
+
+
+def test_neighbors_match_edge_scan_and_leave_equality_alone():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        n = int(rng.integers(1, 10))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.uniform() < 0.4]
+        G = sp.LabeledGraph.from_edges(n, edges)
+        fresh = sp.LabeledGraph.from_edges(n, edges)
+        for v in range(0, n + 2):
+            assert G.neighbors(v) == {j if i == v else i for i, j in edges if v in (i, j)}
+        assert G == fresh and hash(G) == hash(fresh)
+        assert len({G, fresh}) == 1

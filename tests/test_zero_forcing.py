@@ -1,7 +1,13 @@
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spisep as sp
+from spisep import zero_forcing as zf
 
 
 def _random_graph(rng, n, prob):
@@ -10,6 +16,83 @@ def _random_graph(rng, n, prob):
         if rng.uniform() < prob
     ]
     return sp.LabeledGraph.from_edges(n, edges)
+
+
+def _brute_force_number(masks, n, self_ok):
+    """Smallest forcing set found by trying every subset in order of size."""
+    full = (1 << n) - 1
+    for k in range(n + 1):
+        for combo in itertools.combinations(range(n), k):
+            if zf._closure(masks, n, sum(1 << v for v in combo), self_ok) == full:
+                return k
+
+
+def _assert_search_is_exact(masks, n, self_ok, number):
+    isolated = sum(1 << v for v in range(n) if not masks[v])
+    k, witness = zf._min_forcing_set(masks, n, self_ok, isolated)
+    assert k == number == _brute_force_number(masks, n, self_ok)
+    assert witness.bit_count() == k
+    assert zf._closure(masks, n, witness, self_ok) == (1 << n) - 1
+
+
+def _assert_all_rules_exact(G, couplings=()):
+    """Standard, loop and coupled searches against the brute force oracle."""
+    n = G.order
+    full = (1 << n) - 1
+    masks = [sum(1 << (u - 1) for u in G.neighbors(v)) for v in range(1, n + 1)]
+    non_isolated = sum(1 << v for v in range(n) if masks[v])
+    _assert_search_is_exact(masks, n, 0, sp.standard_zf_number(G))
+    _assert_search_is_exact(masks, n, non_isolated, sp.loop_zf_number(G))
+    for coupling in couplings:
+        CG = sp.CoupledGraph(G, coupling)
+        coupled = [m | 1 << (coupling.partner(v) - 1) for v, m in enumerate(masks, 1)]
+        zc = sp.zc_number(CG)
+        _assert_search_is_exact(coupled, n, full, zc)
+        witness = sp.zc_minimum_set(CG)
+        assert len(witness) == zc
+        assert sp.coupled_closure(CG, witness) == frozenset(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_search_matches_brute_force_on_all_trees(n):
+    couplings = sp.enumerate_couplings(n) if n % 2 == 0 else ()
+    for T in nx.nonisomorphic_trees(n) if n > 1 else [nx.empty_graph(1)]:
+        G = sp.LabeledGraph.from_edges(n, [(u + 1, v + 1) for u, v in T.edges])
+        _assert_all_rules_exact(G, couplings)
+
+
+def test_search_matches_brute_force_on_random_graphs():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(1, 13))
+        G = _random_graph(rng, n, rng.uniform(0.05, 0.7))
+        order = [int(v) for v in rng.permutation(n) + 1]
+        couplings = [sp.Coupling.from_pairs(zip(order[::2], order[1::2]))] if n % 2 == 0 else []
+        _assert_all_rules_exact(G, couplings)
+
+
+def test_order_20_dense_split_coupling():
+    # the largest forcing-ladder shape: n = 20, density 0.6, split coupling
+    CG = sp.CoupledGraph(_random_graph(np.random.default_rng(9), 20, 0.6), sp.split_coupling(20))
+    witness = sp.zc_minimum_set(CG)
+    assert sp.coupled_closure(CG, witness) == frozenset(range(1, 21))
+    assert len(witness) == sp.loop_zf_number(sp.coupling_closure_graph(CG))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zc_invariant_under_relabeling(data):
+    n = 2 * data.draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = sp.LabeledGraph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    order = data.draw(st.permutations(range(1, n + 1)))
+    coupling = sp.Coupling.from_pairs(zip(order[::2], order[1::2]))
+    sigma = data.draw(st.permutations(range(1, n + 1)))
+    moved = sp.Coupling.from_pairs((sigma[a - 1], sigma[b - 1]) for a, b in coupling.pairs)
+    assert sp.zc_number(sp.CoupledGraph(G, coupling)) == sp.zc_number(
+        sp.CoupledGraph(G.relabeled(sigma), moved)
+    )
 
 
 def test_path_endpoint_forces_everything():
