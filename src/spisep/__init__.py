@@ -12,7 +12,6 @@ from .core import (
     WilliamsonPair,
     as_symmetric,
     basic_symplectic,
-    invsqrtm_pd,
     is_hamiltonian,
     is_positive_definite,
     is_symplectic,
@@ -23,7 +22,6 @@ from .core import (
     permutation_matrix,
     relabel,
     symplectic_monomial_lift,
-    sqrtm_pd,
     symplectic_pd_inverse_identity,
     symplectic_spectrum,
     williamson,

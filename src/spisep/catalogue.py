@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constructions import (
+    _random_pd_stack,
     dopico_johnson,
     isolated_vertex_obstruction,
     random_smear,
@@ -148,19 +149,6 @@ def _witness_edge_plus_isolated() -> np.ndarray:
 # randomized non-existence evidence
 # ---------------------------------------------------------------------------
 
-def _random_pd_batch(pattern: LabeledGraph, count: int, rng: np.random.Generator) -> np.ndarray:
-    n = pattern.order
-    W = np.zeros((count, n, n))
-    for i, j in pattern.edges:
-        vals = rng.uniform(0.2, 1.0, size=count) * rng.choice([-1.0, 1.0], size=count)
-        W[:, i - 1, j - 1] = vals
-        W[:, j - 1, i - 1] = vals
-    lam_min = np.linalg.eigvalsh(W)[:, 0] if pattern.edges else np.zeros(count)
-    shift = np.abs(np.minimum(lam_min, 0.0)) + rng.uniform(0.5, 1.5, size=count)
-    W += shift[:, None, None] * np.eye(n)
-    return W
-
-
 def scalar_distance(sq: np.ndarray) -> np.ndarray:
     """Max-norm distance of each matrix in a batch from the nearest scalar matrix."""
     n = sq.shape[-1]
@@ -181,7 +169,7 @@ def _evidence_never_scalar(
     the pattern admits no equal symplectic eigenvalues.
     """
     om = omega(pattern.order // 2)
-    batch = _random_pd_batch(pattern, count, rng)
+    batch = _random_pd_stack(pattern, count, rng)
     OmN = np.einsum("ij,bjk->bik", om, batch)
     sq = np.einsum("bij,bjk->bik", OmN, OmN)
     return float(np.min(scalar_distance(sq)))

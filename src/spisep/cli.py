@@ -145,14 +145,31 @@ def cmd_sssp(args) -> dict:
     return report
 
 
-_CONSTRUCT_FAMILIES = (
-    "tripath",
-    "complete-bipartite",
-    "join",
-    "dopico-johnson",
-    "smear-two-cliques",
-    "smear-complete",
-)
+def _shear_family(block):
+    def build(p, targets, seed):
+        B = block(p)
+        return realize_shear(B, targets) if targets else shear_square(B)
+    return build
+
+
+def _smear_family(mode):
+    return lambda p, targets, seed: random_smear(targets or [1.0] * p, seed=seed, mode=mode)
+
+
+def _random_dopico_johnson(p, targets, seed):
+    rng = np.random.default_rng(seed)
+    return dopico_johnson(random_pd(p, rng), random_symmetric(p, rng))
+
+
+# family name -> builder(p, targets, seed); also the argparse choices
+_CONSTRUCT_BUILDERS = {
+    "tripath": _shear_family(path_shear_block),
+    "complete-bipartite": _shear_family(householder_all_nonzero),
+    "join": _shear_family(lambda p: np.ones((p, p))),
+    "dopico-johnson": _random_dopico_johnson,
+    "smear-two-cliques": _smear_family("two_cliques"),
+    "smear-complete": _smear_family("complete"),
+}
 
 
 def cmd_construct(args) -> dict:
@@ -163,24 +180,7 @@ def cmd_construct(args) -> dict:
         raise ValueError("--size must be a positive integer")
     if targets and len(targets) != p:
         raise ValueError("number of targets must equal --size")
-    rng = np.random.default_rng(seed)
-    if args.family == "tripath":
-        B = path_shear_block(p)
-        N = realize_shear(B, targets) if targets else shear_square(B)
-    elif args.family == "complete-bipartite":
-        B = householder_all_nonzero(p)
-        N = realize_shear(B, targets) if targets else shear_square(B)
-    elif args.family == "join":
-        B = np.ones((p, p))
-        N = realize_shear(B, targets) if targets else shear_square(B)
-    elif args.family == "dopico-johnson":
-        N = dopico_johnson(random_pd(p, rng), random_symmetric(p, rng))
-    elif args.family == "smear-two-cliques":
-        N = random_smear(targets or [1.0] * p, seed=seed, mode="two_cliques")
-    elif args.family == "smear-complete":
-        N = random_smear(targets or [1.0] * p, seed=seed, mode="complete")
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
+    N = _CONSTRUCT_BUILDERS[args.family](p, targets, seed)
     if args.out:
         save_matrix(args.out, N, fmt=args.format)
     spec = symplectic_spectrum(N, cluster_tol=args.tol_cluster)
@@ -283,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ss.set_defaults(func=cmd_sssp)
 
     co = sub.add_parser("construct", parents=[common], help="build a realization matrix")
-    co.add_argument("family", choices=_CONSTRUCT_FAMILIES)
+    co.add_argument("family", choices=_CONSTRUCT_BUILDERS)
     co.add_argument("--size", type=int, required=True, help="block size p (matrix order 2p)")
     co.add_argument("--targets", help="comma separated positive target spectrum")
     co.add_argument("--out", help="output matrix file (json or mtx)")

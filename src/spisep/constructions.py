@@ -129,6 +129,23 @@ def random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
     return as_symmetric(A.T @ A + 0.2 * np.eye(n))
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _random_pd_stack(
+    G: LabeledGraph, count: int, rng: np.random.Generator, margin: tuple[float, float] = (0.5, 1.5)
+) -> np.ndarray:
+    # count positive definite matrices whose labeled graph is exactly G, stacked
+    n = G.order
+    W = np.zeros((count, n, n))
+    for i, j in G.edges:
+        w = rng.uniform(0.2, 1.0, size=count) * _SIGNS[rng.integers(0, 2, size=count)]
+        W[:, i - 1, j - 1] = W[:, j - 1, i - 1] = w
+    lam = np.linalg.eigvalsh(W)[:, 0] if G.edges else np.zeros(count)
+    shift = np.abs(np.minimum(lam, 0.0)) + rng.uniform(*margin, size=count)
+    return W + shift[:, None, None] * np.eye(n)
+
+
 def random_pd_with_graph(
     G: LabeledGraph, rng: np.random.Generator, margin: tuple[float, float] = (0.5, 1.5)
 ) -> np.ndarray:
@@ -137,14 +154,7 @@ def random_pd_with_graph(
     Edge entries are bounded away from zero and the diagonal shift keeps the
     smallest eigenvalue positive, so the pattern is exact by construction.
     """
-    n = G.order
-    W = np.zeros((n, n))
-    for i, j in G.edges:
-        w = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-        W[i - 1, j - 1] = W[j - 1, i - 1] = w
-    lam = np.linalg.eigvalsh(W)[0] if G.edges else 0.0
-    shift = abs(min(lam, 0.0)) + rng.uniform(*margin)
-    return W + shift * np.eye(n)
+    return _random_pd_stack(G, 1, rng, margin)[0]
 
 
 def _two_cliques_graph(p: int) -> LabeledGraph:

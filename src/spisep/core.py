@@ -4,6 +4,12 @@ Everything here works with plain numpy arrays.  A "symmetric matrix" is any
 square array-like; :func:`as_symmetric` is the canonical constructor and
 symmetrizes exactly.  Orders are small (a few dozen at most), so all
 algorithms are dense.
+
+Symplectic spectra and Williamson forms share one kernel: the Cholesky
+factor of N = L L.T and the skew-symmetric K = L.T Omega L, which is
+similar to Omega N (Bhatia and Jain, J. Math. Phys. 2015).  The singular
+values of K come in pairs, one pair per symplectic eigenvalue, and its real
+Schur form yields the Williamson congruence.
 """
 
 from __future__ import annotations
@@ -91,11 +97,12 @@ def is_positive_definite(N, tol: float | None = None) -> bool:
     """
     N = as_symmetric(N)
     d = np.diag(N)
-    if tol is None:
-        tol = 1e-10 * float(np.max(d)) if d.size and np.max(d) > 0 else 0.0
     if d.size == 0:
         return False
-    if np.min(d) <= tol:
+    if tol is None:
+        dmax = float(d.max())
+        tol = 1e-10 * dmax if dmax > 0 else 0.0
+    if d.min() <= tol:
         return False
     if not np.isfinite(N).all():
         raise ValueError("matrix must not contain infs or NaNs")
@@ -128,22 +135,26 @@ def _require_pd(N) -> np.ndarray:
     return N
 
 
-def sqrtm_pd(N) -> np.ndarray:
-    """Symmetric square root of a positive definite matrix via spectral decomposition."""
-    N = as_symmetric(N)
-    w, V = np.linalg.eigh(N)
-    if np.min(w) <= 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return (V * np.sqrt(w)) @ V.T
+def _cholesky_form(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cholesky factor L of N = L L.T and K = L.T Omega L.
+
+    K is exactly skew-symmetric and similar to Omega N, so its eigenvalues
+    are +-i d for the symplectic eigenvalues d of N.  Raises
+    NotPositiveDefiniteError when the factorization fails.
+    """
+    try:
+        L = np.linalg.cholesky(N)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+    p = N.shape[0] // 2
+    M = L[:p].T @ L[p:]  # Omega L stacks L[p:] over -L[:p]
+    return L, M - M.T
 
 
-def invsqrtm_pd(N) -> np.ndarray:
-    """Symmetric inverse square root of a positive definite matrix."""
-    N = as_symmetric(N)
-    w, V = np.linalg.eigh(N)
-    if np.min(w) <= 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return (V / np.sqrt(w)) @ V.T
+def _symplectic_values(N: np.ndarray) -> np.ndarray:
+    # the paired singular values of K, ascending; raises on non-PD N
+    s = np.linalg.svd(_cholesky_form(N)[1], compute_uv=False)  # descending, in pairs
+    return np.sort(0.5 * (s[0::2] + s[1::2]))
 
 
 @dataclass(frozen=True)
@@ -193,18 +204,12 @@ def symplectic_spectrum(N, cluster_tol: float = 1e-6) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive definite matrix of order 2p.
 
     These are the moduli of the (purely imaginary) eigenvalues of Omega @ N.
-    Computed from the skew-symmetric K = sqrt(N) @ Omega @ sqrt(N), which is
-    similar to Omega @ N: the singular values of K come in pairs, one pair per
-    symplectic eigenvalue.  This keeps the pairing exact by construction
-    instead of trusting a nonsymmetric eigensolver.
+    Computed from the Cholesky factor N = L @ L.T: the skew-symmetric
+    K = L.T @ Omega @ L is similar to Omega @ N, so its singular values come
+    in pairs, one pair per symplectic eigenvalue.  This keeps the pairing
+    exact by construction instead of trusting a nonsymmetric eigensolver.
     """
-    N = _require_pd(N)
-    p = N.shape[0] // 2
-    R = sqrtm_pd(N)
-    K = R @ omega(p) @ R
-    s = np.linalg.svd(K, compute_uv=False)  # descending, in pairs
-    vals = 0.5 * (s[0::2] + s[1::2])
-    vals = np.sort(vals)
+    vals = _symplectic_values(_require_pd(N))
     return SymplecticSpectrum(
         values=tuple(float(v) for v in vals),
         clusters=cluster_values(vals, cluster_tol),
@@ -230,31 +235,30 @@ class WilliamsonPair:
 def williamson(N) -> WilliamsonPair:
     """Williamson normal form of a positive definite matrix.
 
-    Uses the real Schur form of the skew-symmetric invsqrt(N) @ Omega @
-    invsqrt(N), whose 2x2 blocks carry the reciprocals of the symplectic
-    eigenvalues; reassembling the orthogonal factor block-wise and scaling
-    gives the symplectic congruence.
+    Uses the real Schur form of the skew-symmetric K = L.T @ Omega @ L, with
+    N = L @ L.T the Cholesky factorization.  Its 2x2 blocks carry the
+    symplectic eigenvalues d; with the block vectors reassembled into an
+    orthogonal Q with Q.T @ K @ Q = Omega @ diag(d, d), the congruence is
+    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).
     """
     N = _require_pd(N)
     n = N.shape[0]
-    p = n // 2
-    A = invsqrtm_pd(N)
-    K = A @ omega(p) @ A
+    L, K = _cholesky_form(N)
     T, Z = scipy.linalg.schur(K, output="real")
-    pairs = []  # (d, u, v) with K u = -mu v, K v = mu u, d = 1/mu
+    pairs = []  # (d, u, v) with K u = -d v, K v = d u
     for i in range(0, n, 2):
-        mu = float(T[i, i + 1])
-        if mu == 0.0:
+        d = float(T[i, i + 1])
+        if d == 0.0:
             raise np.linalg.LinAlgError("degenerate Schur block in Williamson form")
-        u, v = Z[:, i].copy(), Z[:, i + 1].copy()
-        if mu < 0:
-            u, v, mu = v, u, -mu
-        pairs.append((1.0 / mu, u, v))
+        u, v = Z[:, i], Z[:, i + 1]
+        if d < 0:
+            u, v, d = v, u, -d
+        pairs.append((d, u, v))
     pairs.sort(key=lambda t: t[0])
     d = np.array([t[0] for t in pairs])
     Q = np.column_stack([t[1] for t in pairs] + [t[2] for t in pairs])
     scale = np.concatenate([np.sqrt(d), np.sqrt(d)])
-    S = A @ Q * scale
+    S = scipy.linalg.solve_triangular(L, Q, trans="T", lower=True) * scale
     scale_n = float(np.max(np.abs(N)))
     if np.max(np.abs(S.T @ N @ S - np.diag(np.concatenate([d, d])))) > 1e-8 * scale_n:
         raise np.linalg.LinAlgError("Williamson reconstruction residual too large")

@@ -69,7 +69,7 @@ class LabeledGraph:
         return min(self.degree(v) for v in range(1, self.order + 1))
 
     def with_edges(self, extra) -> "LabeledGraph":
-        return LabeledGraph.from_edges(self.order, set(self.edges) | {_norm_edge(e) for e in extra})
+        return LabeledGraph(self.order, self.edges.union(map(_norm_edge, extra)))
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.order, self.order))

@@ -19,6 +19,7 @@ import scipy.optimize
 
 from .core import (
     NotPositiveDefiniteError,
+    _symplectic_values,
     as_symmetric,
     is_hamiltonian,
     is_positive_definite,
@@ -373,13 +374,6 @@ def direct_sum_interleave(P, Q) -> np.ndarray:
 # numerical continuation onto a pattern
 # ---------------------------------------------------------------------------
 
-def _moduli_spectrum(N: np.ndarray) -> np.ndarray:
-    p = N.shape[0] // 2
-    w = np.linalg.eigvals(omega(p) @ N)
-    mods = np.sort(np.abs(w))
-    return 0.5 * (mods[0::2] + mods[1::2])
-
-
 def continuation_realize(
     G: LabeledGraph,
     target,
@@ -399,7 +393,9 @@ def continuation_realize(
 
     Returns a positive definite matrix with labeled graph exactly G and
     spectrum within ``spectrum_tol`` of the target; raises ArithmeticError
-    if no attempt converges.
+    if no attempt converges, and NotPositiveDefiniteError up front for a
+    seed matrix that is not positive definite.  An attempt whose start lies
+    outside the positive definite cone counts as failed.
     """
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
@@ -421,7 +417,12 @@ def continuation_realize(
         return N
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return _moduli_spectrum(build(x)) - target
+        # a trial point outside the PD cone is a non-finite step, which the
+        # trust region rejects and shrinks from as it does a poor one
+        try:
+            return _symplectic_values(build(x)) - target
+        except NotPositiveDefiniteError:
+            return np.full(p, np.inf)
 
     base_diag = np.concatenate([target, target])
     scale = edge_scale * float(np.min(target))
@@ -429,6 +430,8 @@ def continuation_realize(
         seed_matrix = np.asarray(seed_matrix, dtype=float)
         if seed_matrix.shape != (G.order, G.order):
             raise ValueError("seed matrix must match the pattern order")
+        if not is_positive_definite(seed_matrix):
+            raise NotPositiveDefiniteError("seed matrix is not positive definite")
         seed_x = np.array([seed_matrix[i - 1, j - 1] for i, j in free])
     last_err = np.inf
     for attempt in range(max_attempts):
@@ -443,6 +446,8 @@ def continuation_realize(
                     * rng.uniform(0.5, 1.0, size=len(free) - n_diag),
                 ]
             )
+        if not np.isfinite(residual(x0)).all():
+            continue
         sol = scipy.optimize.least_squares(
             residual, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=400 * (len(free) + 1),

@@ -12,6 +12,7 @@ it meets, so orders are guarded at 20 by default.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import symplectic_spectrum
@@ -28,20 +29,21 @@ from .graphs import (
 DEFAULT_MAX_N = 20
 
 
-def _adjacency_masks(G: LabeledGraph) -> list[int]:
-    masks = [0] * G.order
-    for i, j in G.edges:
+def _rule(G: LabeledGraph, pairs=(), self_forcing: bool = True) -> tuple[list[int], int, int, int]:
+    """``(masks, n, self_ok, pinned)`` of a forcing rule on G, as bitmasks.
+
+    The relevant set of v is N(v), plus its partner for each coupled pair in
+    ``pairs``.  A vertex with an empty relevant set can never be forced, so
+    it is pinned; every other vertex may force itself when
+    ``self_forcing`` holds (the loop and coupled rules).
+    """
+    n = G.order
+    masks = [0] * n
+    for i, j in itertools.chain(G.edges, pairs):
         masks[i - 1] |= 1 << (j - 1)
         masks[j - 1] |= 1 << (i - 1)
-    return masks
-
-
-def _coupled_masks(CG: CoupledGraph) -> list[int]:
-    masks = _adjacency_masks(CG.graph)
-    for a, b in CG.coupling.pairs:
-        masks[a - 1] |= 1 << (b - 1)
-        masks[b - 1] |= 1 << (a - 1)
-    return masks
+    live = sum(1 << v for v in range(n) if masks[v])
+    return masks, n, live if self_forcing else 0, ((1 << n) - 1) ^ live
 
 
 def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
@@ -134,11 +136,18 @@ def _min_forcing_set(
     return n, full  # unreachable: B = V always forces
 
 
-def _guard(n: int, max_n: int):
+def _close(rule, blue) -> frozenset[int]:
+    masks, n, self_ok, _ = rule
+    return _to_set(_closure(masks, n, _to_mask(blue), self_ok))
+
+
+def _search(rule, max_n: int) -> tuple[int, int]:
+    n = rule[1]
     if n > max_n:
         raise ValueError(
             f"order {n} exceeds the forcing-search guard {max_n}; raise max_n to override"
         )
+    return _min_forcing_set(*rule)
 
 
 def coupled_closure(CG: CoupledGraph, blue) -> frozenset[int]:
@@ -147,31 +156,23 @@ def coupled_closure(CG: CoupledGraph, blue) -> frozenset[int]:
     The relevant set of v is N(v) together with its coupled partner; the
     final coloring does not depend on the order of forces.
     """
-    n = CG.graph.order
-    return _to_set(_closure(_coupled_masks(CG), n, _to_mask(blue), (1 << n) - 1))
+    return _close(_rule(CG.graph, CG.coupling.pairs), blue)
 
 
 def loop_closure(G: LabeledGraph, blue) -> frozenset[int]:
     """Loop zero forcing closure: white vertices with all-blue neighborhoods
     self-force, except isolated ones."""
-    n = G.order
-    masks = _adjacency_masks(G)
-    self_ok = _to_mask(v for v in range(1, n + 1) if masks[v - 1])
-    return _to_set(_closure(masks, n, _to_mask(blue), self_ok))
+    return _close(_rule(G), blue)
 
 
 def standard_closure(G: LabeledGraph, blue) -> frozenset[int]:
     """Standard zero forcing closure (no self-forcing rule)."""
-    n = G.order
-    return _to_set(_closure(_adjacency_masks(G), n, _to_mask(blue), 0))
+    return _close(_rule(G, self_forcing=False), blue)
 
 
 def zc_minimum_set(CG: CoupledGraph, max_n: int = DEFAULT_MAX_N) -> frozenset[int]:
     """A minimum coupled zero forcing set of the coupled graph."""
-    n = CG.graph.order
-    _guard(n, max_n)
-    _, blue = _min_forcing_set(_coupled_masks(CG), n, (1 << n) - 1, 0)
-    return _to_set(blue)
+    return _to_set(_search(_rule(CG.graph, CG.coupling.pairs), max_n)[1])
 
 
 def zc_number(CG: CoupledGraph, max_n: int = DEFAULT_MAX_N) -> int:
@@ -180,31 +181,17 @@ def zc_number(CG: CoupledGraph, max_n: int = DEFAULT_MAX_N) -> int:
     Equals the loop zero forcing number of the graph closed up by the
     coupling edges.
     """
-    n = CG.graph.order
-    _guard(n, max_n)
-    k, _ = _min_forcing_set(_coupled_masks(CG), n, (1 << n) - 1, 0)
-    return k
+    return len(zc_minimum_set(CG, max_n))
 
 
 def loop_zf_number(G: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> int:
     """Minimum size of a loop zero forcing set of G."""
-    n = G.order
-    _guard(n, max_n)
-    masks = _adjacency_masks(G)
-    self_ok = _to_mask(v for v in range(1, n + 1) if masks[v - 1])
-    pinned = _to_mask(v for v in range(1, n + 1) if not masks[v - 1])
-    k, _ = _min_forcing_set(masks, n, self_ok, pinned)
-    return k
+    return _search(_rule(G), max_n)[0]
 
 
 def standard_zf_number(G: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> int:
     """Minimum size of a standard zero forcing set of G."""
-    n = G.order
-    _guard(n, max_n)
-    masks = _adjacency_masks(G)
-    pinned = _to_mask(v for v in range(1, n + 1) if not masks[v - 1])
-    k, _ = _min_forcing_set(masks, n, 0, pinned)
-    return k
+    return _search(_rule(G, self_forcing=False), max_n)[0]
 
 
 def zc_equals_one(CG: CoupledGraph) -> bool:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spisep as sp
+from spisep.constructions import _random_pd_stack
 
 B5_SQUARED = np.array(
     [
@@ -237,6 +238,47 @@ def test_sparsity_audit_triangular_path_equality():
         assert rep.irreducible and rep.symplectic_pd
         assert rep.pair_bound_holds and rep.single_bound_holds
         assert not rep.violation
+
+
+def _single_pd_reference(G, rng, margin=(0.5, 1.5)):
+    # the sampler as a scalar loop over the edges
+    n = G.order
+    W = np.zeros((n, n))
+    for i, j in G.edges:
+        w = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+        W[i - 1, j - 1] = W[j - 1, i - 1] = w
+    lam = np.linalg.eigvalsh(W)[0] if G.edges else 0.0
+    shift = abs(min(lam, 0.0)) + rng.uniform(*margin)
+    return W + shift * np.eye(n)
+
+
+def _batch_pd_reference(G, count, rng):
+    # the catalogue's evidence sampler: per edge, count magnitudes then count signs
+    n = G.order
+    W = np.zeros((count, n, n))
+    for i, j in G.edges:
+        vals = rng.uniform(0.2, 1.0, size=count) * rng.choice([-1.0, 1.0], size=count)
+        W[:, i - 1, j - 1] = W[:, j - 1, i - 1] = vals
+    lam = np.linalg.eigvalsh(W)[:, 0] if G.edges else np.zeros(count)
+    shift = np.abs(np.minimum(lam, 0.0)) + rng.uniform(0.5, 1.5, size=count)
+    return W + shift[:, None, None] * np.eye(n)
+
+
+def test_pd_sampler_is_bit_identical_to_references():
+    rng = np.random.default_rng(12)
+    for seed in range(300):
+        n = int(rng.integers(1, 9))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.uniform() < 0.5]
+        G = sp.LabeledGraph.from_edges(n, edges)
+        assert np.array_equal(
+            sp.random_pd_with_graph(G, np.random.default_rng(seed)),
+            _single_pd_reference(G, np.random.default_rng(seed)),
+        )
+        assert np.array_equal(
+            _random_pd_stack(G, 50, np.random.default_rng(seed)),
+            _batch_pd_reference(G, 50, np.random.default_rng(seed)),
+        )
 
 
 def test_sparsity_audit_reducible_matrix():

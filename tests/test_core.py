@@ -212,6 +212,35 @@ def test_williamson_reconstruction():
         )
 
 
+def _spectrum_reference(N):
+    """The former route: symmetric square root by eigh, then the paired
+    singular values of sqrt(N) Omega sqrt(N)."""
+    w, V = np.linalg.eigh(N)
+    R = (V * np.sqrt(w)) @ V.T
+    s = np.linalg.svd(R @ sp.omega(N.shape[0] // 2) @ R, compute_uv=False)
+    return np.sort(0.5 * (s[0::2] + s[1::2]))
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e8])
+def test_cholesky_kernel_matches_square_root_route(cond):
+    # both routes are backward stable, so the symplectic eigenvalues agree to
+    # a relative error of order n * eps * cond
+    rng = np.random.default_rng(int(math.log10(cond)))
+    for p in (1, 2, 3, 5, 8, 13, 20):
+        n = 2 * p
+        rtol = 4 * n * np.finfo(float).eps * cond
+        for _ in range(3):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            N = sp.as_symmetric((Q * rng.permutation(np.geomspace(1.0, 1.0 / cond, n))) @ Q.T)
+            ref = _spectrum_reference(N)
+            np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), ref, rtol=rtol)
+            pair = sp.williamson(N)
+            np.testing.assert_allclose(np.asarray(pair.d), ref, rtol=rtol)
+            scale = np.max(np.abs(N))
+            assert np.max(np.abs(pair.S.T @ N @ pair.S - pair.diagonal())) <= 1e-8 * scale
+            assert sp.is_symplectic(pair.S, tol=1e-8)
+
+
 def test_williamson_of_symplectic_gram_matrix_is_trivial():
     rng = np.random.default_rng(8)
     B = sp.random_symmetric(3, rng)

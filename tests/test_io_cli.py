@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spisep as sp
-from spisep.cli import main
+from spisep.cli import _CONSTRUCT_BUILDERS, main
 from spisep.io import ParseError, load_graph, load_matrix, save_graph, save_matrix
 
 
@@ -183,6 +183,21 @@ def test_cli_construct_dopico_johnson_is_symplectic_pd(tmp_path, capsys):
                  "--out", out, "--json"]) == 0
     capsys.readouterr()
     assert sp.is_symplectic_pd(load_matrix(out), tol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "family, targets",
+    [(f, None) for f in _CONSTRUCT_BUILDERS]
+    # dopico-johnson builds symplectic matrices only and ignores targets
+    + [(f, [0.5, 1.5, 2.0]) for f in _CONSTRUCT_BUILDERS if f != "dopico-johnson"],
+)
+def test_cli_construct_every_family(family, targets, capsys):
+    argv = ["construct", family, "--size", "3", "--json"]
+    if targets:
+        argv += ["--targets", ",".join(map(str, targets))]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(report["spectrum"], targets or [1.0] * 3, rtol=1e-8)
 
 
 def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -342,6 +343,36 @@ def test_continuation_rejects_bad_targets():
         sp.continuation_realize(sp.empty_graph(4), [1.0, -2.0])
     with pytest.raises(ValueError):
         sp.continuation_realize(sp.empty_graph(4), [1.0, 2.0, 3.0])
+
+
+def test_continuation_rejects_non_pd_seed():
+    G = sp.graph_of_matrix(N_PATH6)
+    with pytest.raises(sp.NotPositiveDefiniteError):
+        sp.continuation_realize(G, [0.5, 1.0, 2.0], seed_matrix=-N_PATH6)
+
+
+def test_continuation_residual_is_infinite_outside_the_pd_cone(monkeypatch):
+    least_squares = scipy.optimize.least_squares
+    seen = []
+
+    def spy(fun, x0, **kwargs):
+        outside = x0.copy()
+        outside[0] = -1.0  # a negative diagonal entry
+        seen.append((fun(x0), fun(outside)))
+        return least_squares(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    sp.continuation_realize(sp.triangular_path(8).graph, [0.5, 1.0, 2.0, 3.5],
+                            rng=np.random.default_rng(10))
+    inside, outside = seen[0]
+    assert np.isfinite(inside).all() and np.isinf(outside).all()
+
+
+def test_continuation_counts_a_start_outside_the_pd_cone_as_failed():
+    # edges up to 10x the smallest target cannot sit on diag(target, target)
+    with pytest.raises(ArithmeticError, match="best residual inf"):
+        sp.continuation_realize(sp.complete_graph(4), [1.0, 2.0], edge_scale=10.0,
+                                max_attempts=3)
 
 
 def _commutation_system_n2(N, a, b):
