@@ -157,6 +157,8 @@ def _smear_family(mode):
 
 
 def _random_dopico_johnson(p, targets, seed):
+    if targets:
+        raise ValueError("dopico-johnson builds symplectic matrices only; it takes no --targets")
     rng = np.random.default_rng(seed)
     return dopico_johnson(random_pd(p, rng), random_symmetric(p, rng))
 

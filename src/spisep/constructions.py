@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .core import (
     as_symmetric,
@@ -272,60 +273,14 @@ def jacobi_from_spectrum(values, rng: np.random.Generator | None = None) -> np.n
 # obstructions
 # ---------------------------------------------------------------------------
 
-def _digraph_arcs(B_pattern) -> tuple[int, list[list[int]]]:
+def _strong_components(B_pattern) -> tuple[np.ndarray, np.ndarray]:
+    """The arc matrix ``B != 0`` (diagonal included) and its strong component labels."""
     B = np.asarray(B_pattern)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("pattern must be square")
-    p = B.shape[0]
-    out = [[j for j in range(p) if B[i, j] != 0] for i in range(p)]
-    return p, out
-
-
-def _strong_components(p: int, out: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    index = [-1] * p
-    low = [0] * p
-    on_stack = [False] * p
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(p):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(out[v])):
-                w = out[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
+    arcs = B != 0
+    _, labels = csgraph.connected_components(arcs, directed=True, connection="strong")
+    return arcs, labels
 
 
 def forbidden_cycle_detector(B_pattern) -> bool:
@@ -336,12 +291,10 @@ def forbidden_cycle_detector(B_pattern) -> bool:
     has all symplectic eigenvalues equal; False means "no obstruction found",
     never "allowed".
     """
-    p, out = _digraph_arcs(B_pattern)
-    for comp in _strong_components(p, out):
-        if len(comp) < 3:
-            continue
-        members = set(comp)
-        if all(sum(1 for w in out[v] if w in members) == 1 for v in comp):
+    arcs, labels = _strong_components(B_pattern)
+    for c in np.flatnonzero(np.bincount(labels) >= 3):
+        members = np.flatnonzero(labels == c)
+        if np.all(arcs[np.ix_(members, members)].sum(axis=1) == 1):
             return True
     return False
 
@@ -353,27 +306,14 @@ def forbidden_nilpotent_detector(B_pattern) -> bool:
     algebraic and geometric multiplicity, again obstructing equal symplectic
     eigenvalues.
     """
-    B = np.asarray(B_pattern)
-    p, out = _digraph_arcs(B_pattern)
-    comps = _strong_components(p, out)
-    zero_singletons = [
-        c[0] for c in comps if len(c) == 1 and B[c[0], c[0]] == 0 and c[0] not in out[c[0]]
-    ]
-    if len(zero_singletons) < 2:
+    arcs, labels = _strong_components(B_pattern)
+    zero = np.flatnonzero((np.bincount(labels)[labels] == 1) & ~np.diag(arcs))
+    if zero.size < 2:
         return False
-    targets = set(zero_singletons)
-    for s in zero_singletons:
-        seen: set[int] = set()
-        stack = list(out[s])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(out[v])
-        if (seen & targets) - {s}:
-            return True
-    return False
+    dist = csgraph.shortest_path(arcs, unweighted=True, indices=zero)
+    # each zero singleton reaches itself at distance 0 and nothing else by a
+    # closed walk, so any further finite entry is a walk to another one
+    return int(np.isfinite(dist[:, zero]).sum()) > zero.size
 
 
 def isolated_vertex_obstruction(G: LabeledGraph) -> bool:

@@ -190,14 +190,10 @@ class SymplecticSpectrum:
 def cluster_values(values, cluster_tol: float) -> tuple[tuple[float, int], ...]:
     """Group sorted positive values into multiplicity clusters by relative gap."""
     vals = np.sort(np.asarray(values, dtype=float))
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or (vals[i] - vals[i - 1]) > cluster_tol * max(vals[i], 1e-300):
-            chunk = vals[start:i]
-            clusters.append((float(np.mean(chunk)), len(chunk)))
-            start = i
-    return tuple(clusters)
+    cuts = np.flatnonzero(np.diff(vals) > cluster_tol * np.maximum(vals[1:], 1e-300)) + 1
+    ends = [0, *cuts.tolist(), vals.size] if vals.size else []
+    # a slice sum over its length is np.mean bit for bit, without its overhead
+    return tuple((float(vals[i:j].sum()) / (j - i), j - i) for i, j in zip(ends, ends[1:]))
 
 
 def symplectic_spectrum(N, cluster_tol: float = 1e-6) -> SymplecticSpectrum:

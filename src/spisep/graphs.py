@@ -120,13 +120,8 @@ def graph_of_matrix(N, zero_tol: float | None = None) -> LabeledGraph:
     if zero_tol is None:
         zero_tol = pattern_tol(N)
     n = N.shape[0]
-    edges = [
-        (i + 1, j + 1)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(N[i, j]) > zero_tol
-    ]
-    return LabeledGraph.from_edges(n, edges)
+    i, j = np.nonzero(np.triu(np.abs(N) > zero_tol, k=1))
+    return LabeledGraph(n, frozenset(zip((i + 1).tolist(), (j + 1).tolist())))
 
 
 def complement(G: LabeledGraph) -> LabeledGraph:
@@ -227,7 +222,8 @@ def enumerate_couplings(n: int, max_n: int = 12) -> list[Coupling]:
             for more in rec(tail):
                 yield ((a, b),) + more
 
-    return [Coupling.from_pairs(ps) for ps in rec(tuple(range(1, n + 1)))]
+    # rec yields (low, high) pairs sorted by their low ends, the stored form
+    return [Coupling(ps) for ps in rec(tuple(range(1, n + 1)))]
 
 
 def representative_labelings(CG: CoupledGraph, max_p: int = 5) -> list[tuple[int, ...]]:
@@ -379,60 +375,41 @@ def family(name: str, size: int):
 # ---------------------------------------------------------------------------
 
 def is_caterpillar(G: LabeledGraph) -> bool:
-    """True iff G is a tree whose non-leaf vertices induce a path (possibly empty)."""
+    """True iff G is a tree whose non-leaf vertices induce a path (possibly empty).
+
+    Deleting the leaves of a tree leaves a subtree, which is a path exactly
+    when no vertex in it has more than two neighbours in it.
+    """
     if not G.is_tree():
         return False
-    spine = [v for v in range(1, G.order + 1) if G.degree(v) >= 2]
-    if len(spine) <= 1:
-        return True
-    spine_set = set(spine)
-    degs = [len(G.neighbors(v) & spine_set) for v in spine]
-    if max(degs) > 2:
-        return False
-    # induced subgraph of a tree is a forest; a connected forest with max
-    # degree 2 is a path
-    ends = [v for v, d in zip(spine, degs) if d <= 1]
-    seen = {spine[0]}
-    stack = [spine[0]]
-    while stack:
-        v = stack.pop()
-        for u in G.neighbors(v):
-            if u in spine_set and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(spine) and len(ends) == 2
+    spine = {v for v in range(1, G.order + 1) if G.degree(v) >= 2}
+    return all(len(G.neighbors(v) & spine) <= 2 for v in spine)
 
 
 def tree_perfect_matching(G: LabeledGraph) -> Coupling | None:
     """The unique perfect matching of a tree, or None if there is none.
 
-    Strips leaves: a leaf must be matched with its only neighbor; remove both
-    and continue.  Raises on non-tree input.
+    Visits the vertices deepest first from a BFS rooted at 1: a vertex still
+    unmatched when its turn comes has no unmatched child left, so it must
+    take its parent.  Raises on non-tree input.
     """
     if not G.is_tree():
         raise ValueError("input graph is not a tree")
     if G.order % 2 != 0:
         return None
-    alive = set(range(1, G.order + 1))
-    adj = {v: set(G.neighbors(v)) for v in alive}
-    pairs = []
-    leaves = [v for v in alive if len(adj[v]) == 1]
-    while leaves:
-        v = leaves.pop()
-        if v not in alive:
+    parent = {1: None}
+    order = [1]
+    for v in order:
+        for u in G.neighbors(v):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    mate: dict[int, int] = {}
+    for v in reversed(order):
+        if v in mate:
             continue
-        if not adj[v]:
+        u = parent[v]
+        if u is None or u in mate:
             return None
-        u = next(iter(adj[v]))
-        pairs.append((v, u))
-        for w in (v, u):
-            alive.discard(w)
-        for w in adj[u] - {v}:
-            adj[w].discard(u)
-            if len(adj[w]) == 1 and w in alive:
-                leaves.append(w)
-        adj[v].clear()
-        adj[u].clear()
-    if alive:
-        return None
-    return Coupling.from_pairs(pairs)
+        mate[v], mate[u] = u, v
+    return Coupling.from_pairs((v, u) for v, u in mate.items() if v < u)

@@ -408,12 +408,11 @@ def continuation_realize(
 
     free = [(i, i) for i in range(1, G.order + 1)] + sorted(G.edges)
     n_diag = G.order
+    rows, cols = (np.array(ix) - 1 for ix in zip(*free))
 
     def build(x: np.ndarray) -> np.ndarray:
         N = np.zeros((G.order, G.order))
-        for (i, j), v in zip(free, x):
-            N[i - 1, j - 1] = v
-            N[j - 1, i - 1] = v
+        N[rows, cols] = N[cols, rows] = x
         return N
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -432,7 +431,7 @@ def continuation_realize(
             raise ValueError("seed matrix must match the pattern order")
         if not is_positive_definite(seed_matrix):
             raise NotPositiveDefiniteError("seed matrix is not positive definite")
-        seed_x = np.array([seed_matrix[i - 1, j - 1] for i, j in free])
+        seed_x = seed_matrix[rows, cols]
     last_err = np.inf
     for attempt in range(max_attempts):
         if seed_matrix is not None:

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -198,6 +199,37 @@ def test_forbidden_nilpotent_detector():
     pat[0, 1] = pat[1, 2] = pat[2, 1] = pat[2, 3] = 1
     pat[1, 1] = pat[2, 2] = 1
     assert sp.forbidden_nilpotent_detector(pat)
+
+
+def _reference_obstructions(B) -> tuple[bool, bool]:
+    """Both detectors rebuilt from networkx strong components and paths."""
+    p = B.shape[0]
+    D = nx.DiGraph()
+    D.add_nodes_from(range(p))
+    D.add_edges_from(zip(*np.nonzero(B)))
+    comps = list(nx.strongly_connected_components(D))
+    cycle = any(
+        len(c) >= 3 and all(d == 1 for _, d in D.subgraph(c).out_degree()) for c in comps
+    )
+    zero = [v for c in comps if len(c) == 1 for v in c if not D.has_edge(v, v)]
+    nilpotent = any(nx.has_path(D, s, t) for s in zero for t in zero if s != t)
+    return cycle, nilpotent
+
+
+def test_obstruction_detectors_match_networkx_reference():
+    rng = np.random.default_rng(2026)
+    hits = np.zeros(2, dtype=int)
+    for trial in range(2400):
+        p = int(rng.integers(1, 9))
+        B = (rng.uniform(size=(p, p)) < rng.uniform(0.05, 0.6)) * rng.normal(size=(p, p))
+        if trial % 2:
+            np.fill_diagonal(B, 0.0)
+        want = _reference_obstructions(B)
+        got = (sp.forbidden_cycle_detector(B), sp.forbidden_nilpotent_detector(B))
+        assert got == want, B
+        hits += want
+    # both verdicts occur often enough for the comparison to mean something
+    assert hits.min() >= 20
 
 
 def test_off_diagonal_block_pattern_of_dense_graph():

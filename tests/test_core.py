@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spisep as sp
+from spisep.core import cluster_values
 
 # the two labelings of the 4-path from the motivating example
 N_PATH_A = np.array([[2.0, 0, 1, 1], [0, 2, 1, 0], [1, 1, 2, 0], [1, 0, 0, 2]])
@@ -354,3 +355,32 @@ def test_cluster_tolerance_is_surfaced():
     assert spec.cluster_tol == 1e-3
     assert spec.max_multiplicity == 2
     assert sum(spec.multiplicities) == spec.p
+
+
+def _cluster_values_reference(values, cluster_tol):
+    """The former per-value loop, with np.mean on each cluster."""
+    vals = np.sort(np.asarray(values, dtype=float))
+    clusters = []
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or (vals[i] - vals[i - 1]) > cluster_tol * max(vals[i], 1e-300):
+            chunk = vals[start:i]
+            clusters.append((float(np.mean(chunk)), len(chunk)))
+            start = i
+    return tuple(clusters)
+
+
+def test_cluster_values_match_loop_reference():
+    rng = np.random.default_rng(11)
+    assert cluster_values([], 1e-6) == _cluster_values_reference([], 1e-6) == ()
+    # relative gaps well inside, just inside, just outside and well outside tol
+    gaps = np.array([0.0, 1e-3, 0.5, 0.95, 1.05, 1.08, 2.0, 10.0])
+    for tol in (1e-6, 0.1):
+        for _ in range(1000):
+            n = int(rng.integers(1, 40))
+            steps = tol * rng.choice(gaps, size=n - 1) * rng.uniform(0.98, 1.02, size=n - 1)
+            vals = rng.uniform(0.1, 10.0) * np.cumprod(np.concatenate([[1.0], 1.0 + steps]))
+            vals = rng.permutation(vals)
+            # tol 0 separates exact ties (gap 0) from every positive gap
+            for t in (tol, 0.0):
+                assert cluster_values(vals, t) == _cluster_values_reference(vals, t)

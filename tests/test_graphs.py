@@ -1,15 +1,38 @@
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import spisep as sp
+from spisep.core import pattern_tol
 
 
 def test_graph_of_identity_is_empty():
     G = sp.graph_of_matrix(np.eye(4))
     assert G == sp.empty_graph(4)
+
+
+def _graph_of_matrix_by_entry(N, zero_tol=None):
+    N = 0.5 * (N + N.T)
+    tol = pattern_tol(N) if zero_tol is None else zero_tol
+    n = N.shape[0]
+    edges = [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n) if abs(N[i, j]) > tol]
+    return sp.LabeledGraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 40])
+def test_graph_of_matrix_matches_per_entry_reference(n):
+    rng = np.random.default_rng(n)
+    tol = 0.25
+    # entries exactly at +-tol, just either side of it, and well clear of it
+    choices = np.array([0.0, tol, -tol, np.nextafter(tol, 1.0), np.nextafter(tol, 0.0), 1.0, -3.0])
+    for _ in range(30):
+        M = rng.choice(choices, size=(n, n))
+        N = np.triu(M) + np.triu(M, 1).T
+        for zero_tol in (None, tol, 0.0):
+            assert sp.graph_of_matrix(N, zero_tol) == _graph_of_matrix_by_entry(N, zero_tol)
 
 
 def test_graph_of_join_construction():
@@ -88,6 +111,7 @@ def test_enumerate_couplings_double_factorial(n, count):
     couplings = sp.enumerate_couplings(n)
     assert len(couplings) == count
     assert len(set(couplings)) == count
+    assert all(c == sp.Coupling.from_pairs(c.pairs) for c in couplings)
 
 
 def test_enumeration_guard():
@@ -188,6 +212,34 @@ def test_tree_matching_paths_and_stars():
     assert sp.tree_perfect_matching(sp.star_graph(6)) is None
     with pytest.raises(ValueError):
         sp.tree_perfect_matching(sp.cycle_graph(4))
+
+
+def _relabeled_trees(max_order: int, rng):
+    """Every nonisomorphic tree of order <= max_order, under a random relabeling."""
+    yield sp.LabeledGraph.from_edges(1, [])
+    for k in range(2, max_order + 1):
+        for T in nx.nonisomorphic_trees(k):
+            sigma = rng.permutation(k) + 1
+            yield sp.LabeledGraph.from_edges(k, [(sigma[u], sigma[v]) for u, v in T.edges])
+
+
+def test_caterpillar_and_tree_matching_match_networkx_on_all_small_trees():
+    rng = np.random.default_rng(7)
+    count = 0
+    for G in _relabeled_trees(10, rng):
+        T = nx.Graph(list(G.edges))
+        T.add_nodes_from(range(1, G.order + 1))
+        inner = T.subgraph([v for v, d in T.degree() if d >= 2])
+        spine_is_path = inner.number_of_nodes() == 0 or (
+            nx.is_connected(inner) and max(d for _, d in inner.degree()) <= 2
+        )
+        assert sp.is_caterpillar(G) == spine_is_path, sorted(G.edges)
+        M = nx.max_weight_matching(T, maxcardinality=True)
+        want = sorted(tuple(sorted(e)) for e in M) if 2 * len(M) == G.order else None
+        got = sp.tree_perfect_matching(G)
+        assert (got and list(got.pairs)) == want, sorted(G.edges)
+        count += 1
+    assert count == 201  # OEIS A000055 summed over orders 1..10
 
 
 def test_labeled_graph_rejects_bad_edges():

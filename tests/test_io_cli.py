@@ -185,10 +185,16 @@ def test_cli_construct_dopico_johnson_is_symplectic_pd(tmp_path, capsys):
     assert sp.is_symplectic_pd(load_matrix(out), tol=1e-7)
 
 
+def test_cli_construct_dopico_johnson_rejects_targets(capsys):
+    argv = ["construct", "dopico-johnson", "--size", "2", "--targets", "2,3", "--json"]
+    assert main(argv) == 3
+    assert "--targets" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "family, targets",
     [(f, None) for f in _CONSTRUCT_BUILDERS]
-    # dopico-johnson builds symplectic matrices only and ignores targets
+    # dopico-johnson builds symplectic matrices only and rejects targets
     + [(f, [0.5, 1.5, 2.0]) for f in _CONSTRUCT_BUILDERS if f != "dopico-johnson"],
 )
 def test_cli_construct_every_family(family, targets, capsys):
