@@ -9,7 +9,8 @@ Symplectic spectra and Williamson forms share one kernel: the Cholesky
 factor of N = L L.T and the skew-symmetric K = L.T Omega L, which is
 similar to Omega N (Bhatia and Jain, J. Math. Phys. 2015).  The singular
 values of K come in pairs, one pair per symplectic eigenvalue, and its real
-Schur form yields the Williamson congruence.
+Schur form yields the Williamson congruence, whose columns also give the
+derivative of each simple symplectic eigenvalue.
 """
 
 from __future__ import annotations
@@ -228,16 +229,17 @@ class WilliamsonPair:
         return np.diag(dd)
 
 
-def williamson(N) -> WilliamsonPair:
-    """Williamson normal form of a positive definite matrix.
+def _williamson_columns(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending symplectic eigenvalues d of N and a symplectic S with
+    S.T @ N @ S = diag(d, d), without checking either.
 
     Uses the real Schur form of the skew-symmetric K = L.T @ Omega @ L, with
-    N = L @ L.T the Cholesky factorization.  Its 2x2 blocks carry the
-    symplectic eigenvalues d; with the block vectors reassembled into an
-    orthogonal Q with Q.T @ K @ Q = Omega @ diag(d, d), the congruence is
-    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).
+    N = L @ L.T the Cholesky factorization.  Its 2x2 blocks carry d; with
+    the block vectors reassembled into an orthogonal Q with
+    Q.T @ K @ Q = Omega @ diag(d, d), the congruence is
+    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Raises
+    NotPositiveDefiniteError when N has no Cholesky factor.
     """
-    N = _require_pd(N)
     n = N.shape[0]
     L, K = _cholesky_form(N)
     T, Z = scipy.linalg.schur(K, output="real")
@@ -254,7 +256,18 @@ def williamson(N) -> WilliamsonPair:
     d = np.array([t[0] for t in pairs])
     Q = np.column_stack([t[1] for t in pairs] + [t[2] for t in pairs])
     scale = np.concatenate([np.sqrt(d), np.sqrt(d)])
-    S = scipy.linalg.solve_triangular(L, Q, trans="T", lower=True) * scale
+    return d, scipy.linalg.solve_triangular(L, Q, trans="T", lower=True) * scale
+
+
+def williamson(N) -> WilliamsonPair:
+    """Williamson normal form of a positive definite matrix.
+
+    S and d come from the real Schur form of K = L.T @ Omega @ L (see
+    :func:`_williamson_columns`); S.T @ N @ S = diag(d, d) and the symplectic
+    identity of S are both checked to 1e-8 relative to max |N|.
+    """
+    N = _require_pd(N)
+    d, S = _williamson_columns(N)
     scale_n = float(np.max(np.abs(N)))
     if np.max(np.abs(S.T @ N @ S - np.diag(np.concatenate([d, d])))) > 1e-8 * scale_n:
         raise np.linalg.LinAlgError("Williamson reconstruction residual too large")

@@ -20,6 +20,7 @@ import scipy.optimize
 from .core import (
     NotPositiveDefiniteError,
     _symplectic_values,
+    _williamson_columns,
     as_symmetric,
     is_hamiltonian,
     is_positive_definite,
@@ -387,8 +388,8 @@ def continuation_realize(
 
     Starts from diag(target, target) (an exact realization on the empty
     subgraph) with small random values on the edges of G, then moves the free
-    entries (diagonal plus edges) by least squares until the spectrum matches
-    the target.  Existence near the seed holds whenever the seed has the
+    entries (diagonal plus edges) by least squares, on the exact Jacobian of
+    the spectrum, until it matches the target.  Existence near the seed holds whenever the seed has the
     SSSP, e.g. for distinct targets; this routine supplies the witness.
 
     Returns a positive definite matrix with labeled graph exactly G and
@@ -409,6 +410,8 @@ def continuation_realize(
     free = [(i, i) for i in range(1, G.order + 1)] + sorted(G.edges)
     n_diag = G.order
     rows, cols = (np.array(ix) - 1 for ix in zip(*free))
+    # a diagonal entry moves one entry of N, an edge entry moves two
+    half = np.where(rows == cols, 0.5, 1.0)
 
     def build(x: np.ndarray) -> np.ndarray:
         N = np.zeros((G.order, G.order))
@@ -423,6 +426,15 @@ def continuation_realize(
         except NotPositiveDefiniteError:
             return np.full(p, np.inf)
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        # d d_k = (u_k.T dN u_k + v_k.T dN v_k) / 2 for a simple eigenvalue
+        # d_k, with u_k, v_k columns k and k + p of the Williamson factor
+        # (Bhatia and Jain, J. Math. Phys. 2015); the trust region asks for
+        # it only at accepted points, which lie inside the PD cone
+        S = _williamson_columns(build(x))[1]
+        U, V = S[:, :p], S[:, p:]
+        return ((U[rows] * U[cols] + V[rows] * V[cols]) * half[:, None]).T
+
     base_diag = np.concatenate([target, target])
     scale = edge_scale * float(np.min(target))
     if seed_matrix is not None:
@@ -433,6 +445,7 @@ def continuation_realize(
             raise NotPositiveDefiniteError("seed matrix is not positive definite")
         seed_x = seed_matrix[rows, cols]
     last_err = np.inf
+    runs = nfev = njev = 0
     for attempt in range(max_attempts):
         if seed_matrix is not None:
             jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
@@ -448,14 +461,17 @@ def continuation_realize(
         if not np.isfinite(residual(x0)).all():
             continue
         sol = scipy.optimize.least_squares(
-            residual, x0, method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=400 * (len(free) + 1),
+            residual, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15,
+            gtol=1e-15, max_nfev=400 * (len(free) + 1),
         )
+        runs, nfev, njev = runs + 1, nfev + sol.nfev, njev + sol.njev
         N = build(sol.x)
         err = float(np.max(np.abs(residual(sol.x))))
         last_err = min(last_err, err)
         if err <= spectrum_tol and is_positive_definite(N) and graph_of_matrix(N) == G:
             return N
     raise ArithmeticError(
-        f"continuation did not converge on this pattern (best residual {last_err:.3e})"
+        f"continuation did not converge on this pattern (best residual {last_err:.3e}"
+        f" after {max_attempts} attempts, {max_attempts - runs} of them starting outside"
+        f" the PD cone; least squares made {nfev} residual and {njev} Jacobian evaluations)"
     )

@@ -375,6 +375,91 @@ def test_continuation_counts_a_start_outside_the_pd_cone_as_failed():
                                 max_attempts=3)
 
 
+class _Captured(Exception):
+    pass
+
+
+def _capture_least_squares(monkeypatch, G, target, rng):
+    # the residual, start and Jacobian continuation_realize hands to least_squares
+    seen = {}
+
+    def spy(fun, x0, **kwargs):
+        seen.update(fun=fun, x0=x0, jac=kwargs.get("jac"))
+        raise _Captured
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    with pytest.raises(_Captured):
+        sp.continuation_realize(G, target, rng=rng)
+    monkeypatch.undo()
+    return seen["fun"], seen["x0"], seen["jac"]
+
+
+def test_continuation_jacobian_matches_central_differences(monkeypatch):
+    # residual(x) is the sorted spectrum of the matrix on the free entries x,
+    # minus the target; its central difference is the spectrum's
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 120:
+        p = int(rng.integers(1, 9))
+        n = 2 * p
+        G = sp.LabeledGraph.from_edges(
+            n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if rng.uniform() < rng.uniform(0.1, 0.9)]
+        )
+        target = np.sort(rng.uniform(0.5, 3.0, p))
+        fun, x0, jac = _capture_least_squares(monkeypatch, G, target, rng)
+        x = x0.copy()
+        x[n:] += 0.05 * rng.uniform(-1.0, 1.0, x.size - n)  # well off the diagonal seed
+        d = fun(x) + target
+        if not np.isfinite(d).all() or (p > 1 and np.min(np.diff(d)) < 1e-3 * d[-1]):
+            continue
+        J = jac(x)
+        assert J.shape == (p, x.size)
+        h = 1e-6
+        fd = np.column_stack([(fun(x + h * e) - fun(x - h * e)) / (2 * h) for e in np.eye(x.size)])
+        assert np.linalg.norm(J - fd) <= 1e-6 * np.linalg.norm(fd)
+        # d is homogeneous of degree one in N, which is linear in x
+        np.testing.assert_allclose(J @ x, d, rtol=1e-10)
+        checked += 1
+
+
+def test_continuation_passes_the_exact_jacobian(monkeypatch):
+    least_squares = scipy.optimize.least_squares
+    jacs = []
+
+    def spy(fun, x0, **kwargs):
+        jacs.append(kwargs.get("jac"))
+        return least_squares(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    sp.continuation_realize(sp.triangular_path(8).graph, [0.5, 1.0, 2.0, 3.5],
+                            rng=np.random.default_rng(10))
+    assert jacs and all(callable(j) for j in jacs)
+
+
+@pytest.mark.parametrize("G, target", [
+    (sp.triangular_path(6).graph, [0.7, 0.7, 1.9]),
+    (sp.complete_graph(6), [0.6, 1.3, 1.3]),
+])
+def test_continuation_realizes_double_targets(G, target):
+    N = sp.continuation_realize(G, target, rng=np.random.default_rng(3))
+    np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), target, atol=1e-10)
+    assert sp.graph_of_matrix(N) == G
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_continuation_realizes_distinct_targets_at_scale(n):
+    rng = np.random.default_rng(n)
+    G = sp.LabeledGraph.from_edges(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.uniform() < 0.35]
+    )
+    target = np.sort(rng.uniform(0.5, 3.0, n // 2))
+    N = sp.continuation_realize(G, target, rng=rng)
+    assert sp.is_positive_definite(N)
+    assert sp.graph_of_matrix(N) == G
+    np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), target, atol=1e-6)
+
+
 def _commutation_system_n2(N, a, b):
     # reference: all n^2 entries of Omega N Y - Y N Omega, one column per Y = E_ab + E_ba
     n = N.shape[0]
