@@ -389,8 +389,9 @@ def continuation_realize(
     Starts from diag(target, target) (an exact realization on the empty
     subgraph) with small random values on the edges of G, then moves the free
     entries (diagonal plus edges) by least squares, on the exact Jacobian of
-    the spectrum, until it matches the target.  Existence near the seed holds whenever the seed has the
-    SSSP, e.g. for distinct targets; this routine supplies the witness.
+    the spectrum, until it matches the target.  Existence near the seed
+    holds whenever the seed has the SSSP, e.g. for distinct targets; this
+    routine supplies the witness.
 
     Returns a positive definite matrix with labeled graph exactly G and
     spectrum within ``spectrum_tol`` of the target; raises ArithmeticError

@@ -5,11 +5,12 @@
 
 The change is the working tree this is run from; the parent is ``--base``,
 extracted from git into a temporary directory.  For each workload and seed
-both sides run ``python3 perfbench/run.py --workload W --seed S --seconds T``
-in turn, alternating which runs first, and the last JSON line of each run is
-kept.  The record holds both shas, the thread pin, the seeds, and for each
-end-to-end metric of BENCHMARK.json each side's median and quartiles and the
-number of pairs the change won.  It is rewritten after every pair.
+both sides run ``python3 perfbench/run.py --workload W --seed S`` in turn,
+at the benchmark's own run length and thread pin, alternating which runs
+first, and the last JSON line of each run is kept.  The record holds both
+shas, the thread pin, the seeds, and for each end-to-end metric of
+BENCHMARK.json each side's median and quartiles and the number of pairs the
+change won.  It is rewritten after every pair.
 """
 
 import argparse
@@ -52,11 +53,9 @@ def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+def run(checkout: Path, workload: str, seed: int) -> dict:
+    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if not any(line.startswith("{") for line in proc.stdout.splitlines()):
         raise RuntimeError(f"{checkout}: no result from {' '.join(cmd)}\n{proc.stderr[-2000:]}")
     return last_json_line(proc.stdout)
@@ -73,11 +72,10 @@ def main() -> None:
     ap.add_argument("--base", required=True, help="git revision of the parent")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", action="append", required=True, help="e.g. 0-9, one per workload")
-    ap.add_argument("--seconds", type=float, default=15.0)
     args = ap.parse_args()
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     record = {
-        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds:g}",
+        "command": "python3 perfbench/run.py --workload <w> --seed <s>",
         "parent": git("rev-parse", args.base).decode().strip(),
         "change": git("rev-parse", "HEAD").decode().strip(),
         "change_uncommitted": bool(git("status", "--porcelain", "--", "src", "perfbench").strip()),
@@ -91,7 +89,7 @@ def main() -> None:
             pairs = []
             for i, seed in enumerate(seeds(spec)):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                got = {side: run(sides[side], workload, seed, args.seconds) for side in order}
+                got = {side: run(sides[side], workload, seed) for side in order}
                 pairs.append((got["parent"], got["change"]))
                 record["workloads"][workload] = {
                     "seeds": seeds(spec)[: i + 1],
