@@ -28,12 +28,20 @@ from .constructions import (
     shear_square,
 )
 from .core import (
+    basic_symplectic,
     is_symplectic_pd,
     monomial_relabel,
     omega,
     symplectic_pd_inverse_identity,
 )
-from .graphs import Coupling, CoupledGraph, LabeledGraph, apply_labeling, graph_of_matrix
+from .graphs import (
+    Coupling,
+    CoupledGraph,
+    LabeledGraph,
+    apply_labeling,
+    enumerate_couplings,
+    graph_of_matrix,
+)
 from .sssp import direct_sum_interleave, has_sssp_nullspace, has_sssp_rank
 
 ARBITRARY = "spectrally_arbitrary"
@@ -58,11 +66,7 @@ ORDER4_GRAPHS: dict[str, LabeledGraph] = {
 }
 
 #: The three couplings of four vertex names.
-ORDER4_COUPLINGS: dict[int, Coupling] = {
-    1: Coupling.from_pairs([(1, 2), (3, 4)]),
-    2: Coupling.from_pairs([(1, 3), (2, 4)]),
-    3: Coupling.from_pairs([(1, 4), (2, 3)]),
-}
+ORDER4_COUPLINGS: dict[int, Coupling] = dict(enumerate(enumerate_couplings(4), 1))
 
 
 def canonical_labeling(coupling: Coupling) -> tuple[int, ...]:
@@ -134,11 +138,7 @@ def _witness_two_edges_split() -> np.ndarray:
 
 def _witness_two_edges_adjacent() -> np.ndarray:
     # both vertices of each edge in the same label pair: A plus inv(A)
-    A = _PD_BLOCK
-    N = np.zeros((4, 4))
-    N[:2, :2] = A
-    N[2:, 2:] = np.linalg.inv(A)
-    return N
+    return basic_symplectic("block_diag", _PD_BLOCK)
 
 
 def _witness_edge_plus_isolated() -> np.ndarray:

@@ -22,10 +22,10 @@ from .constructions import (
     random_symmetric,
     random_smear,
     realize_shear,
-    shear_square,
     sparsity_audit,
 )
 from .core import (
+    DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
     symplectic_spectrum,
     williamson,
@@ -34,6 +34,7 @@ from .core import (
 from .graphs import CoupledGraph, coupling_closure_graph, graph_of_matrix, path_shear_block
 from .io import ParseError, load_graph, load_matrix, save_matrix
 from .sssp import (
+    DEFAULT_RANK_TOL,
     direction_graph,
     has_sssp_in_direction,
     has_sssp_nullspace,
@@ -110,7 +111,6 @@ def cmd_williamson(args) -> dict:
         "symplectic_eigenvalues": list(pair.d),
         "S": _matrix_list(pair.S),
         "residuals": {"diagonalization": diag_res, "symplectic": symp_res},
-        "tolerances": {"cluster_tol": args.tol_cluster},
     }
 
 
@@ -146,10 +146,7 @@ def cmd_sssp(args) -> dict:
 
 
 def _shear_family(block):
-    def build(p, targets, seed):
-        B = block(p)
-        return realize_shear(B, targets) if targets else shear_square(B)
-    return build
+    return lambda p, targets, seed: realize_shear(block(p), targets or [1.0] * p)
 
 
 def _smear_family(mode):
@@ -252,60 +249,61 @@ def cmd_audit_sparsity(args) -> dict:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-cluster", type=float, default=1e-6,
-                        help="relative gap for multiplicity clustering")
-    common.add_argument("--tol-rank", type=float, default=1e-9,
-                        help="relative singular value threshold for rank decisions")
-    common.add_argument("--tol-zero", type=float, default=None,
-                        help="absolute threshold for structural zeros (default: scale-relative)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized constructions (SPISEP_SEED overrides)")
-    common.add_argument("--json", action="store_true", help="compact single-line JSON output")
+# option -> add_argument keywords; each subcommand names the ones it reads
+_OPTIONS = {
+    "--tol-cluster": dict(type=float, default=DEFAULT_CLUSTER_TOL,
+                          help="relative gap for multiplicity clustering"),
+    "--tol-rank": dict(type=float, default=DEFAULT_RANK_TOL,
+                       help="relative singular value threshold for rank decisions"),
+    "--tol-zero": dict(type=float, default=None,
+                       help="absolute threshold for structural zeros (default: scale-relative)"),
+    "--seed": dict(type=int, default=0,
+                   help="seed for randomized constructions (SPISEP_SEED overrides)"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spisep",
         description="Symplectic spectra of positive definite matrices with a given labeled graph",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", parents=[common], help="symplectic eigenvalues of a matrix")
-    sp.add_argument("matrix")
-    sp.set_defaults(func=cmd_spectrum)
+    def command(name, func, summary, *options):
+        cmd = sub.add_parser(name, help=summary)
+        for opt in options:
+            cmd.add_argument(opt, **_OPTIONS[opt])
+        cmd.add_argument("--json", action="store_true", help="compact single-line JSON output")
+        cmd.set_defaults(func=func)
+        return cmd
 
-    wi = sub.add_parser("williamson", parents=[common], help="Williamson normal form")
-    wi.add_argument("matrix")
-    wi.set_defaults(func=cmd_williamson)
+    command("spectrum", cmd_spectrum, "symplectic eigenvalues of a matrix",
+            "--tol-cluster").add_argument("matrix")
+    command("williamson", cmd_williamson, "Williamson normal form").add_argument("matrix")
 
-    ss = sub.add_parser("sssp", parents=[common],
-                        help="strong symplectic spectral property verdicts")
+    ss = command("sssp", cmd_sssp, "strong symplectic spectral property verdicts",
+                 "--tol-rank", "--tol-zero")
     ss.add_argument("matrix")
     ss.add_argument("--direction", help="tangent direction matrix file")
-    ss.set_defaults(func=cmd_sssp)
 
-    co = sub.add_parser("construct", parents=[common], help="build a realization matrix")
+    co = command("construct", cmd_construct, "build a realization matrix",
+                 "--tol-cluster", "--seed")
     co.add_argument("family", choices=_CONSTRUCT_BUILDERS)
     co.add_argument("--size", type=int, required=True, help="block size p (matrix order 2p)")
     co.add_argument("--targets", help="comma separated positive target spectrum")
     co.add_argument("--out", help="output matrix file (json or mtx)")
     co.add_argument("--format", choices=("json", "mtx"), default=None)
-    co.set_defaults(func=cmd_construct)
 
-    zc = sub.add_parser("zc", parents=[common], help="coupled zero forcing number")
+    zc = command("zc", cmd_zc, "coupled zero forcing number")
     zc.add_argument("graph", help="graph JSON file with a coupling")
-    zc.set_defaults(func=cmd_zc)
 
-    ca = sub.add_parser("catalogue-order4", parents=[common],
-                        help="full order-4 classification with machine-checked witnesses")
+    ca = command("catalogue-order4", cmd_catalogue,
+                 "full order-4 classification with machine-checked witnesses", "--seed")
     ca.add_argument("--samples", type=int, default=1000,
                     help="randomized evidence sample count per simple-only entry")
-    ca.set_defaults(func=cmd_catalogue)
 
-    au = sub.add_parser("audit-sparsity", parents=[common],
-                        help="nonzero counts against the sparsity lower bounds")
-    au.add_argument("matrix")
-    au.set_defaults(func=cmd_audit_sparsity)
+    command("audit-sparsity", cmd_audit_sparsity,
+            "nonzero counts against the sparsity lower bounds", "--tol-zero").add_argument("matrix")
     return parser
 
 

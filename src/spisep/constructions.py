@@ -15,6 +15,7 @@ from scipy.sparse import csgraph
 
 from .core import (
     as_symmetric,
+    basic_symplectic,
     is_positive_definite,
     is_symplectic,
     is_symplectic_pd,
@@ -67,9 +68,7 @@ def shear_square(B) -> np.ndarray:
     row.
     """
     B = _check_symmetric_block(B)
-    p = B.shape[0]
-    eye = np.eye(p)
-    return as_symmetric(np.block([[eye, B], [B, eye + B @ B]]))
+    return realize_shear(B, np.ones(B.shape[0]))
 
 
 def realize_shear(B, target) -> np.ndarray:
@@ -175,21 +174,16 @@ def random_smear(target, seed: int = 0, mode: str = "complete") -> np.ndarray:
     """
     t = _check_targets(target)
     p = t.size
+    if mode not in ("two_cliques", "complete"):
+        raise ValueError("mode must be 'two_cliques' or 'complete'")
     rng = np.random.default_rng(seed)
     D2 = np.diag(np.concatenate([t, t]))
     want = _two_cliques_graph(p) if mode == "two_cliques" else complete_graph(2 * p)
-    if mode not in ("two_cliques", "complete"):
-        raise ValueError("mode must be 'two_cliques' or 'complete'")
     for _ in range(_MAX_RESAMPLE):
-        A = random_invertible(p, rng)
-        SA = np.zeros((2 * p, 2 * p))
-        SA[:p, :p] = A
-        SA[p:, p:] = np.linalg.inv(A).T
+        SA = basic_symplectic("block_diag", random_invertible(p, rng))
         N = SA.T @ D2 @ SA
         if mode == "complete":
-            B = random_symmetric(p, rng)
-            RB = np.eye(2 * p)
-            RB[:p, p:] = B
+            RB = basic_symplectic("shear", random_symmetric(p, rng))
             N = RB.T @ N @ RB
         N = as_symmetric(N)
         if graph_of_matrix(N) == want:
@@ -197,12 +191,8 @@ def random_smear(target, seed: int = 0, mode: str = "complete") -> np.ndarray:
     raise ArithmeticError("smearing kept producing accidental zeros")
 
 
-def corona_realize(A, D, E) -> np.ndarray:
-    """[[diag(D), diag(E)], [diag(E), A]]: the pendant-leaf block form.
-
-    Positive definite iff sqrt(D) A sqrt(D) - E^2 has positive eigenvalues,
-    in which case the symplectic spectrum consists of their square roots.
-    """
+def _corona_values(A, D, E) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # validated (A, D, E) and the ascending eigenvalues of sqrt(D) A sqrt(D) - E^2
     A = as_symmetric(A)
     D = np.asarray(D, dtype=float).ravel()
     E = np.asarray(E, dtype=float).ravel()
@@ -212,13 +202,22 @@ def corona_realize(A, D, E) -> np.ndarray:
     if np.any(D <= 0):
         raise ValueError("D must be positive")
     rd = np.sqrt(D)
-    core = (rd[:, None] * A * rd[None, :]) - np.diag(E * E)
-    lam = np.linalg.eigvalsh(core)
+    lam = np.linalg.eigvalsh((rd[:, None] * A * rd[None, :]) - np.diag(E * E))
     if lam[0] <= 0:
         raise ValueError(
             f"sqrt(D) A sqrt(D) - E^2 has nonpositive eigenvalue {lam[0]:.6g}; "
             "no positive definite completion with this data"
         )
+    return A, D, E, lam
+
+
+def corona_realize(A, D, E) -> np.ndarray:
+    """[[diag(D), diag(E)], [diag(E), A]]: the pendant-leaf block form.
+
+    Positive definite iff sqrt(D) A sqrt(D) - E^2 has positive eigenvalues,
+    in which case the symplectic spectrum consists of their square roots.
+    """
+    A, D, E, _ = _corona_values(A, D, E)
     return as_symmetric(
         np.block([[np.diag(D), np.diag(E)], [np.diag(E), A]])
     )
@@ -226,14 +225,7 @@ def corona_realize(A, D, E) -> np.ndarray:
 
 def corona_spectrum(A, D, E) -> np.ndarray:
     """Predicted symplectic spectrum of corona_realize(A, D, E), sorted ascending."""
-    A = as_symmetric(A)
-    D = np.asarray(D, dtype=float).ravel()
-    E = np.asarray(E, dtype=float).ravel()
-    rd = np.sqrt(D)
-    lam = np.linalg.eigvalsh((rd[:, None] * A * rd[None, :]) - np.diag(E * E))
-    if lam[0] <= 0:
-        raise ValueError("data does not define a positive definite matrix")
-    return np.sqrt(lam)
+    return np.sqrt(_corona_values(A, D, E)[3])
 
 
 def jacobi_from_spectrum(values, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -21,6 +21,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+DEFAULT_CLUSTER_TOL = 1e-6
+
 
 class NotPositiveDefiniteError(ValueError):
     """Raised when an operation requires a positive definite input."""
@@ -197,7 +199,7 @@ def cluster_values(values, cluster_tol: float) -> tuple[tuple[float, int], ...]:
     return tuple((float(vals[i:j].sum()) / (j - i), j - i) for i, j in zip(ends, ends[1:]))
 
 
-def symplectic_spectrum(N, cluster_tol: float = 1e-6) -> SymplecticSpectrum:
+def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SymplecticSpectrum:
     """Symplectic eigenvalues of a positive definite matrix of order 2p.
 
     These are the moduli of the (purely imaginary) eigenvalues of Omega @ N.

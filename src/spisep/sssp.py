@@ -41,28 +41,18 @@ class SpBasisElement:
     label: str
 
 
-def _upper_pairs(p: int) -> list[tuple[int, int]]:
-    # diagonal first, then each superdiagonal in order (1-based pairs)
-    pairs = [(i, i) for i in range(1, p + 1)]
-    for d in range(1, p):
-        pairs.extend((i, i + d) for i in range(1, p - d + 1))
-    return pairs
-
-
-def _full_pairs(p: int) -> list[tuple[int, int]]:
-    # diagonal, then superdiagonal d followed by subdiagonal d
-    pairs = [(i, i) for i in range(1, p + 1)]
-    for d in range(1, p):
-        pairs.extend((i, i + d) for i in range(1, p - d + 1))
-        pairs.extend((i + d, i) for i in range(1, p - d + 1))
-    return pairs
-
-
 def _basis_terms(p: int) -> list[tuple[tuple[int, int, float], tuple[int, int, float]]]:
-    # the two (row, column, coefficient) entries of each basis element, 1-based, in basis order
-    terms = [((i, j + p, 1.0), (j, i + p, 1.0)) for i, j in _upper_pairs(p)]
-    terms += [((i + p, j, 1.0), (j + p, i, 1.0)) for i, j in _upper_pairs(p)]
-    terms += [((i, j, 1.0), (j + p, i + p, -1.0)) for i, j in _full_pairs(p)]
+    # the two (row, column, coefficient) entries of each basis element, 1-based, in basis order;
+    # pairs run diagonal first, then each superdiagonal (followed by its subdiagonal in full)
+    upper = [(i, i) for i in range(1, p + 1)]
+    full = list(upper)
+    for d in range(1, p):
+        sup = [(i, i + d) for i in range(1, p - d + 1)]
+        upper += sup
+        full += sup + [(j, i) for i, j in sup]
+    terms = [((i, j + p, 1.0), (j, i + p, 1.0)) for i, j in upper]
+    terms += [((i + p, j, 1.0), (j + p, i, 1.0)) for i, j in upper]
+    terms += [((i, j, 1.0), (j + p, i + p, -1.0)) for i, j in full]
     return terms
 
 
@@ -88,9 +78,21 @@ def sp_basis(p: int) -> list[SpBasisElement]:
     return elems
 
 
+@lru_cache(maxsize=8)
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based positions (i, j), i <= j, of the upper triangle of an n x n matrix,
+    column by column: the row order of :func:`vec_triangle`.  Read-only."""
+    j = np.repeat(np.arange(n), np.arange(1, n + 1))
+    i = np.arange(j.size) - j * (j + 1) // 2
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 def triangle_pairs(n: int) -> list[tuple[int, int]]:
     """Row positions (i, j), i <= j, in the order used by :func:`vec_triangle`."""
-    return [(i, j) for j in range(1, n + 1) for i in range(1, j + 1)]
+    i, j = _triangle(n)
+    return list(zip((i + 1).tolist(), (j + 1).tolist()))
 
 
 def vec_triangle(M) -> np.ndarray:
@@ -100,20 +102,17 @@ def vec_triangle(M) -> np.ndarray:
     m34, m44.  Bijective onto R^(n(n+1)/2); inverted by :func:`unvec_triangle`.
     """
     M = as_symmetric(M)
-    n = M.shape[0]
-    return np.concatenate([M[: j + 1, j] for j in range(n)])
+    return M[_triangle(M.shape[0])]
 
 
 def unvec_triangle(v, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.size != n * (n + 1) // 2:
         raise ValueError("vector length does not match a symmetric matrix of this order")
+    i, j = _triangle(n)
     M = np.zeros((n, n))
-    k = 0
-    for j in range(n):
-        M[: j + 1, j] = v[k : k + j + 1]
-        k += j + 1
-    return M + M.T - np.diag(np.diag(M))
+    M[i, j] = M[j, i] = v
+    return M
 
 
 @dataclass(frozen=True)
@@ -153,14 +152,12 @@ def verification_matrix(N, zero_tol: float | None = None) -> VerificationMatrix:
     if zero_tol is None:
         zero_tol = pattern_tol(N)
     full = verification_matrix_full(N).full
-    pairs = triangle_pairs(N.shape[0])
-    keep = [
-        k for k, (i, j) in enumerate(pairs) if i != j and abs(N[i - 1, j - 1]) <= zero_tol
-    ]
+    keep = _nonedge_rows(N, zero_tol)
+    i, j = _triangle(N.shape[0])
     return VerificationMatrix(
         full=full,
         reduced=full[keep, :],
-        row_index=tuple(pairs[k] for k in keep),
+        row_index=tuple(zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())),
     )
 
 
@@ -204,10 +201,16 @@ def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nonedge_rows(N: np.ndarray, zero_tol: float) -> np.ndarray:
+    # the triangle rows of the strictly off-diagonal structural zeros of N
+    i, j = _triangle(N.shape[0])
+    return np.flatnonzero((i != j) & (np.abs(N[i, j]) <= zero_tol))
+
+
 def _nonedge_pairs(N: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
     # 0-based positions (i, j), i < j, of the structural zeros of N, in triangle_pairs order
-    j, i = np.tril_indices(N.shape[0], -1)
-    keep = np.abs(N[i, j]) <= zero_tol
+    i, j = _triangle(N.shape[0])
+    keep = _nonedge_rows(N, zero_tol)
     return i[keep], j[keep]
 
 
@@ -236,19 +239,6 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     return a.size == 0 or _numeric_rank(_tangent_rows(N, a, b), rank_tol) == a.size
 
 
-@lru_cache(maxsize=8)
-def _triangle_slots(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # row of position (x, y) in triangle_pairs order, and its weight: sqrt 2 off the
-    # diagonal; 2 on it, where a symmetric Y = E_ab + E_ba puts its value twice
-    idx = np.arange(n)
-    x, y = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
-    slot = y * (y + 1) // 2 + x
-    weight = np.where(x == y, 2.0, np.sqrt(2.0))
-    slot.setflags(write=False)
-    weight.setflags(write=False)
-    return slot, weight
-
-
 def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column t is Omega N Y - Y N Omega for Y = E_ab + E_ba at (a[t], b[t]).
 
@@ -259,8 +249,13 @@ def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     """
     n = N.shape[0]
     ON = omega(n // 2) @ N
-    slot, weight = _triangle_slots(n)
-    out = np.zeros((n * (n + 1) // 2, a.size))
+    # slot[x, y] is the row of position {x, y}; a symmetric Y = E_ab + E_ba
+    # puts its value twice on the diagonal, so the weight there is 2
+    i, j = _triangle(n)
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[i, j] = slot[j, i] = np.arange(i.size)
+    weight = np.where(np.eye(n, dtype=bool), 2.0, np.sqrt(2.0))
+    out = np.zeros((i.size, a.size))
     t = np.arange(a.size)
     out[slot[:, b], t] = weight[:, b] * ON[:, a]
     out[slot[:, a], t] += weight[:, a] * ON[:, b]
@@ -314,8 +309,7 @@ def in_tangent_space(N, R, tol: float = 1e-8) -> bool:
     b = vec_triangle(R)
     if not np.any(b):
         return True
-    j, i = np.tril_indices(N.shape[0])
-    A = _tangent_rows(N, i, j)
+    A = _tangent_rows(N, *_triangle(N.shape[0]))
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
     return float(np.linalg.norm(A @ x - b)) <= tol * max(1.0, float(np.linalg.norm(b)))
 
@@ -467,7 +461,7 @@ def continuation_realize(
         )
         runs, nfev, njev = runs + 1, nfev + sol.nfev, njev + sol.njev
         N = build(sol.x)
-        err = float(np.max(np.abs(residual(sol.x))))
+        err = float(np.max(np.abs(sol.fun)))
         last_err = min(last_err, err)
         if err <= spectrum_tol and is_positive_definite(N) and graph_of_matrix(N) == G:
             return N

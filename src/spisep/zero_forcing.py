@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import symplectic_spectrum
+from .core import DEFAULT_CLUSTER_TOL, symplectic_spectrum
 from .graphs import (
     CoupledGraph,
     LabeledGraph,
@@ -220,7 +220,7 @@ class MultiplicityBoundReport:
 def msp_upper_bound(
     N,
     CG: CoupledGraph,
-    cluster_tol: float = 1e-6,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     max_n: int = DEFAULT_MAX_N,
     max_p: int = 5,
 ) -> MultiplicityBoundReport:

@@ -146,6 +146,18 @@ def test_corona_realize_flat_case_and_rejection():
         sp.corona_realize(np.eye(3), np.ones(3), 2.0 * np.ones(3))
 
 
+@pytest.mark.parametrize("build", [sp.corona_realize, sp.corona_spectrum])
+def test_corona_forms_reject_bad_diagonals(build):
+    with pytest.raises(ValueError, match="D must be positive"):
+        build(np.eye(2), [-1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="D must be positive"):
+        build(np.eye(2), [0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="same order"):
+        build(np.eye(2), [1.0, 1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="same order"):
+        build(np.eye(2), [1.0, 1.0], [0.0])
+
+
 def test_corona_spectrum_agrees_with_direct_computation():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -100,6 +100,44 @@ def test_cli_sssp_verdicts_on_known_matrices(tmp_path, capsys):
     assert report["sssp"] is False and report["witness"] is not None
 
 
+def test_cli_tol_cluster_merges_close_values(tmp_path, capsys):
+    path = _write_matrix(tmp_path, "close.json", np.diag([1.0, 1.001, 1.0, 1.001]))
+    assert main(["spectrum", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["clusters"] == [[1.0, 1], [1.001, 1]]
+    assert main(["spectrum", path, "--tol-cluster", "1e-2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [mult for _, mult in report["clusters"]] == [2]
+    assert report["tolerances"]["cluster_tol"] == 1e-2
+
+
+def test_cli_tol_zero_decides_structural_zeros(tmp_path, capsys):
+    # entries of 1e-12 are zeros at the default scale-relative threshold, so the
+    # pattern is empty and the double eigenvalue of I fails the SSSP; at
+    # --tol-zero 0 they are edges, the pattern is complete and nothing is left to test
+    N = np.eye(4) + 1e-12 * (np.ones((4, 4)) - np.eye(4))
+    path = _write_matrix(tmp_path, "tiny.json", N)
+    assert main(["sssp", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sssp"] is False
+    assert np.count_nonzero(report["witness"]) > 0
+    assert main(["sssp", path, "--tol-zero", "0", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sssp"] is True and report["witness"] is None
+    assert report["tolerances"]["zero_tol"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["zc", "g.json", "--seed", "1"],
+    ["williamson", "N.json", "--tol-cluster", "1e-3"],
+    ["spectrum", "N.json", "--tol-rank", "1e-3"],
+])
+def test_cli_rejects_options_a_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_zc_caterpillar(tmp_path, capsys):
     edges = [(i, i + 1) for i in range(1, 15)] + [(5, 16), (12, 17), (13, 18)]
     cat = sp.LabeledGraph.from_edges(18, edges)

@@ -148,6 +148,20 @@ def _closure_random_order(CG, blue, rng):
         blue.add(moves[int(rng.integers(len(moves)))])
 
 
+def test_loop_and_standard_closures():
+    rng = np.random.default_rng(8)
+    for n in (4, 6, 8, 10):
+        CG = sp.path_with_matching(n)
+        # the coupling pairs are edges of the path, so they add no relevant vertex
+        assert set(CG.coupling.pairs) <= CG.graph.edges
+        assert sp.standard_closure(sp.path_graph(n), {1}) == frozenset(range(1, n + 1))
+        for _ in range(20):
+            blue = {v for v in range(1, n + 1) if rng.uniform() < 0.3}
+            assert sp.coupled_closure(CG, blue) == sp.loop_closure(CG.graph, blue)
+            G = _random_graph(rng, n, 0.4)
+            assert sp.standard_closure(G, blue) <= sp.loop_closure(G, blue)
+
+
 def test_final_coloring_is_order_independent():
     rng = np.random.default_rng(1)
     for _ in range(25):
