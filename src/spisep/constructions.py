@@ -174,11 +174,11 @@ def random_smear(target, seed: int = 0, mode: str = "complete") -> np.ndarray:
     """
     t = _check_targets(target)
     p = t.size
-    if mode not in ("two_cliques", "complete"):
-        raise ValueError("mode must be 'two_cliques' or 'complete'")
     rng = np.random.default_rng(seed)
     D2 = np.diag(np.concatenate([t, t]))
     want = _two_cliques_graph(p) if mode == "two_cliques" else complete_graph(2 * p)
+    if mode not in ("two_cliques", "complete"):
+        raise ValueError("mode must be 'two_cliques' or 'complete'")
     for _ in range(_MAX_RESAMPLE):
         SA = basic_symplectic("block_diag", random_invertible(p, rng))
         N = SA.T @ D2 @ SA
