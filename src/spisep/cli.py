@@ -136,8 +136,8 @@ def cmd_sssp(args) -> dict:
     if args.direction:
         R = load_matrix(args.direction)
         verdict = has_sssp_in_direction(N, R, rank_tol=args.tol_rank, zero_tol=args.tol_zero)
-        enlarged = direction_graph(graph_of_matrix(N, zero_tol=args.tol_zero), R,
-                                   zero_tol=args.tol_zero)
+        # R is cut at its own default tolerance, as has_sssp_in_direction cuts it
+        enlarged = direction_graph(graph_of_matrix(N, zero_tol=args.tol_zero), R)
         report["direction"] = {
             "sssp_in_direction": verdict,
             "enlarged_pattern_edges": sorted(list(e) for e in enlarged.edges),

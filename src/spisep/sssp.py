@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.optimize
+from scipy.linalg.lapack import dpotrf
 
 from .core import (
     NotPositiveDefiniteError,
@@ -30,6 +31,7 @@ from .core import (
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -214,13 +216,53 @@ def _nonedge_pairs(N: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarr
     return i[keep], j[keep]
 
 
-def _numeric_rank(A: np.ndarray, rank_tol: float) -> int:
-    if A.size == 0:
-        return 0
+def _certified_full_rank(A: np.ndarray, rank_tol: float) -> bool:
+    """A proof, from one Cholesky factorization, that sigma_min(A) > rank_tol * sigma_1(A).
+
+    With A of shape (m, k), n = min(m, k), l = max(m, k), u = eps / 2 and
+    gamma_j = j u / (1 - j u): G is the n x n Gram matrix of A and
+    f = fl(trace G) >= ||A||_F^2 (1 - gamma_{n+l}) >= sigma_1^2 (1 - gamma_{n+l}).
+    G's diagonal is lowered by tau = (rank_tol^2 + 4 (m + k) eps) f, and True
+    is returned only when LAPACK's dpotrf completes on the result H.  Then
+
+    * ||fl(G) - G||_2 <= gamma_l || |A| |A|^T ||_2 <= gamma_l ||A||_F^2, since
+      each entry is a dot product of length l (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2nd ed., section 3.5);
+    * subtracting tau rounds each diagonal entry by at most u (f + tau);
+    * a Cholesky factorization that completes gives R^T R = H + dH with
+      ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1} trace(H) / (1 - gamma_{n+1})
+      (Demmel, "On floating point errors in Cholesky", 1989; Higham,
+      section 10.1), so lambda_min(H) >= -gamma_{n+1} f (1 + O(u)).
+
+    Together, lambda_min(A A^T or A^T A) >= tau - (m + k + 3) u f (1 + O(u))
+    > rank_tol^2 f >= rank_tol^2 sigma_1^2, the 4 (m + k) eps margin covering
+    every rounding term above at least four times over (and no factorization
+    completes once tau >= f, so rank_tol >= 1 is never proven).  So True
+    proves sigma_min > rank_tol * sigma_1, by a margin far wider than the
+    values-only SVD's own O(eps sigma_1) error.  False proves nothing, and the
+    caller must decide with the SVD, as it must for a zero, NaN or infinite A.
+    """
+    m, k = A.shape
+    G = A @ A.T if m <= k else A.T @ A
+    f = np.trace(G)
+    if not 0.0 < f < np.inf:  # an optimized dpotrf may complete on NaN pivots
+        return False
+    G.flat[:: G.shape[0] + 1] -= (rank_tol * rank_tol + 4 * (m + k) * _EPS) * f
+    # G is symmetric and C-ordered, so G.T is the same matrix in the Fortran order dpotrf reads
+    return dpotrf(G.T, clean=0, overwrite_a=1)[1] == 0
+
+
+def _full_rank(A: np.ndarray, rank_tol: float) -> bool:
+    """Whether every singular value of A exceeds ``rank_tol`` times the largest.
+
+    A passing verdict is proven by :func:`_certified_full_rank`; only where
+    that proof fails does the values-only SVD decide, so every False comes
+    from the SVD.
+    """
+    if _certified_full_rank(A, rank_tol):
+        return True
     s = np.linalg.svd(A, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return bool(s[0] > 0.0 and s[-1] > rank_tol * s[0])
 
 
 def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None = None) -> bool:
@@ -236,7 +278,7 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     if zero_tol is None:
         zero_tol = pattern_tol(N)
     a, b = _nonedge_pairs(N, zero_tol)
-    return a.size == 0 or _numeric_rank(_tangent_rows(N, a, b), rank_tol) == a.size
+    return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
 
 
 def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,8 +325,7 @@ def has_sssp_nullspace(
     if a.size == 0:
         return True, None
     A = _commutation_rows(N, a, b)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[0] > 0.0 and s[a.size - 1] > rank_tol * s[0]:
+    if _full_rank(A, rank_tol):
         return True, None
     y = np.linalg.svd(A, full_matrices=False)[2][-1]
     W = np.zeros_like(N)
@@ -332,7 +373,7 @@ def has_sssp_in_direction(
     a, b = _nonedge_pairs(N, zero_tol)
     keep = np.abs(R[a, b]) <= r_tol
     a, b = a[keep], b[keep]
-    return a.size == 0 or _numeric_rank(_commutation_rows(N, a, b), rank_tol) == a.size
+    return a.size == 0 or _full_rank(_commutation_rows(N, a, b), rank_tol)
 
 
 def direction_graph(G: LabeledGraph, R, zero_tol: float | None = None) -> LabeledGraph:

@@ -54,3 +54,9 @@ def test_summarize_is_incorrect_when_any_run_is(bad):
 def test_seed_ranges():
     assert bench_record.seeds("0-4") == [0, 1, 2, 3, 4]
     assert bench_record.seeds("7") == [7]
+
+
+def test_layer_values_keep_each_metric_value():
+    result = bench_record.last_json_line(_output(2.0, 5.0, failed=1))
+    assert bench_record.layer_values(result) == {
+        "correct": False, "metrics": {"items_per_s": 2.0, "item_p50_ms": 5.0}}

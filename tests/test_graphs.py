@@ -132,16 +132,15 @@ def test_representative_labelings_match_enumeration():
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_representative_labelings_send_pairs_to_form_pairs(p):
-    rng = np.random.default_rng(p)
-    coupling = sp.enumerate_couplings(2 * p)[int(rng.integers(0, 1))]
-    CG = sp.CoupledGraph(sp.empty_graph(2 * p), coupling)
-    labs = sp.representative_labelings(CG)
-    assert len(labs) == 2**p * math.factorial(p)
-    assert len(set(labs)) == len(labs)
-    for lab in labs:
-        for a, b in coupling.pairs:
-            lo, hi = sorted((lab[a - 1], lab[b - 1]))
-            assert hi == lo + p
+    for coupling in sp.enumerate_couplings(2 * p):
+        CG = sp.CoupledGraph(sp.empty_graph(2 * p), coupling)
+        labs = sp.representative_labelings(CG)
+        assert len(labs) == 2**p * math.factorial(p)
+        assert len(set(labs)) == len(labs)
+        for lab in labs:
+            for a, b in coupling.pairs:
+                lo, hi = sorted((lab[a - 1], lab[b - 1]))
+                assert hi == lo + p
 
 
 def test_triangular_path_edge_count():

@@ -193,6 +193,25 @@ def test_cli_sssp_with_witness_and_direction(tmp_path, capsys):
     ]
 
 
+def test_cli_sssp_direction_reports_the_pattern_its_verdict_used(tmp_path, capsys):
+    N = sp.shear_square(sp.path_shear_block(3))
+    rng = np.random.default_rng(0)
+    R = sp.tangent_element(N, sum(rng.standard_normal() * e.matrix for e in sp.sp_basis(3)))
+    off = np.abs(R[np.triu_indices(6, 1)])
+    # just above R's smallest off-diagonal entry, which sits on a non-edge of N
+    tol_zero = 1.01 * float(off.min())
+    assert off.min() < tol_zero < np.sort(off)[1]
+    npath = _write_matrix(tmp_path, "n.json", N)
+    rpath = _write_matrix(tmp_path, "r.json", R)
+    assert main(["sssp", npath, "--direction", rpath, "--tol-zero", str(tol_zero), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["direction"]["sssp_in_direction"] is True
+    # the verdict cuts R at its own default tolerance, so every pair is an edge
+    assert report["direction"]["enlarged_pattern_edges"] == [
+        [i, j] for i in range(1, 7) for j in range(i + 1, 7)
+    ]
+
+
 def test_cli_construct_join_matches_shear_of_ones(tmp_path, capsys):
     out = str(tmp_path / "out.json")
     assert main(["construct", "join", "--size", "3", "--out", out, "--json"]) == 0

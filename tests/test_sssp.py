@@ -584,3 +584,121 @@ def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
     assert not sp.has_sssp_rank(N)
     assert not sp.has_sssp_nullspace(N)[0]
     assert len(shapes) == 3 and max(max(s) for s in shapes) <= 6 * 7 // 2
+
+
+def _with_singular_values(rng, m, k, sigma):
+    """U diag(sigma) V^T for random orthogonal U (m x m) and V (k x k)."""
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return (U[:, : sigma.size] * sigma) @ V[:, : sigma.size].T
+
+
+CERTIFICATE_SHAPES = [(3, 5), (5, 3), (40, 60), (60, 40), (200, 300), (300, 200)]
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e-14, 1e-12, 1e-10, 5e-10])
+def test_certificate_never_proves_a_rank_deficient_matrix(ratio):
+    rng = np.random.default_rng(7)
+    for m, k in CERTIFICATE_SHAPES:
+        n = min(m, k)
+        for _ in range(4):
+            # the rest of the spectrum spread over [0.5, 1], so trace G is about n * sigma_1^2
+            sigma = np.sort(rng.uniform(0.5, 1.0, n))[::-1]
+            sigma[0], sigma[-1] = 1.0, ratio
+            A = _with_singular_values(rng, m, k, sigma)
+            assert not sssp._certified_full_rank(A, sssp.DEFAULT_RANK_TOL), (m, k, ratio)
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-1, 1.0])
+def test_certificate_proves_a_well_conditioned_matrix(ratio):
+    rng = np.random.default_rng(3)
+    for m, k in CERTIFICATE_SHAPES:
+        sigma = np.geomspace(1.0, ratio, min(m, k))
+        assert sssp._certified_full_rank(_with_singular_values(rng, m, k, sigma), 1e-9)
+    assert not sssp._certified_full_rank(np.zeros((3, 5)), 1e-9)
+    assert not sssp._certified_full_rank(np.full((3, 5), np.nan), 1e-9)
+
+
+def _svd_only_full_rank(A, rank_tol):
+    # the rank decision before the Cholesky certificate: the values-only SVD alone
+    s = np.linalg.svd(A, compute_uv=False)
+    return s[0] != 0.0 and int(np.sum(s > rank_tol * s[0])) == min(A.shape)
+
+
+def _svd_only_rank(N, rank_tol=sssp.DEFAULT_RANK_TOL):
+    a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+    return a.size == 0 or _svd_only_full_rank(sssp._tangent_rows(N, a, b), rank_tol)
+
+
+def _svd_only_nullspace(N, rank_tol=sssp.DEFAULT_RANK_TOL):
+    a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+    if a.size == 0:
+        return True, None
+    A = sssp._commutation_rows(N, a, b)
+    if _svd_only_full_rank(A, rank_tol):
+        return True, None
+    y = np.linalg.svd(A, full_matrices=False)[2][-1]
+    W = np.zeros_like(N)
+    W[a, b] = W[b, a] = y
+    return False, W / np.max(np.abs(W))
+
+
+def _svd_only_in_direction(N, R, rank_tol=sssp.DEFAULT_RANK_TOL):
+    a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+    keep = np.abs(R[a, b]) <= sssp.pattern_tol(R)
+    a, b = a[keep], b[keep]
+    return a.size == 0 or _svd_only_full_rank(sssp._commutation_rows(N, a, b), rank_tol)
+
+
+def _benchmark_scale_cases():
+    """Seeded 30%-density patterns at p = 8..12 and failing shear squares at p = 3..6,
+    each with a tangent direction R built from two basis elements, so sparse enough
+    to leave non-edges for the in-direction oracle."""
+    rng = np.random.default_rng(9)
+    cases = []
+    for p in range(8, 13):
+        n = 2 * p
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.uniform() < 0.3]
+        cases.append(sp.random_pd_with_graph(sp.LabeledGraph.from_edges(n, edges), rng))
+    cases += [sp.shear_square(sp.path_shear_block(p)) for p in range(3, 7)]
+    out = []
+    for N in cases:
+        basis = sp.sp_basis(N.shape[0] // 2)
+        M = sum(rng.standard_normal() * basis[k].matrix
+                for k in rng.choice(len(basis), 2, replace=False))
+        out.append((N, sp.tangent_element(N, M)))
+    return out
+
+
+def test_certified_oracles_match_the_svd_only_oracles_and_their_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(A, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((A.shape, full_matrices, compute_uv, A.tobytes()))
+        return svd(A, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def run(f, *args):
+        calls.clear()
+        return f(*args), list(calls)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    tally = {True: 0, False: 0}
+    for N, R in _benchmark_scale_cases():
+        for oracle, reference, args in [
+            (sp.has_sssp_rank, _svd_only_rank, (N,)),
+            (sp.has_sssp_nullspace, _svd_only_nullspace, (N,)),
+            (sp.has_sssp_in_direction, _svd_only_in_direction, (N, R)),
+        ]:
+            want, want_calls = run(reference, *args)
+            got, got_calls = run(oracle, *args)
+            if oracle is sp.has_sssp_nullspace:
+                (want, W), (got, got_W) = want, got
+                assert (got_W is None) == (W is None)
+                assert W is None or got_W.tobytes() == W.tobytes()
+            assert got == want
+            # a pass is proven without any SVD; a failure makes exactly the reference's calls
+            assert got_calls == ([] if want else want_calls)
+            tally[want] += 1
+    assert tally[True] >= 10 and tally[False] >= 8, tally

@@ -1,7 +1,8 @@
 """Record parent/change pairs of benchmark runs as one BENCH_<topic>.json.
 
     python3 tools/bench_record.py --topic <topic> --base <rev> \
-        --workload realize-ladder --seeds 0-9 [--workload atlas6 --seeds 0-4 ...]
+        --workload realize-ladder --seeds 0-9 [--workload atlas6 --seeds 0-4 ...] \
+        [--trace realize-ladder ...]
 
 The change is the working tree this is run from; the parent is ``--base``,
 extracted from git into a temporary directory.  For each workload and seed
@@ -10,7 +11,9 @@ at the benchmark's own run length and thread pin, alternating which runs
 first, and the last JSON line of each run is kept.  The record holds both
 shas, the thread pin, the seeds, and for each end-to-end metric of
 BENCHMARK.json each side's median and quartiles and the number of pairs the
-change won.  It is rewritten after every pair.
+change won.  For each workload named by ``--trace``, both sides also make one
+``--trace 1`` run at its first seed, whose per-layer metrics are kept.  The
+record is rewritten after every pair.
 """
 
 import argparse
@@ -49,12 +52,19 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def layer_values(result: dict) -> dict:
+    """The correctness and each metric's value of one ``--trace 1`` result."""
+    return {"correct": result["correct"] and result["failed"] == 0,
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def run(checkout: Path, workload: str, seed: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: bool = False) -> dict:
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--trace", "1"] if trace else []
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if not any(line.startswith("{") for line in proc.stdout.splitlines()):
         raise RuntimeError(f"{checkout}: no result from {' '.join(cmd)}\n{proc.stderr[-2000:]}")
@@ -72,6 +82,8 @@ def main() -> None:
     ap.add_argument("--base", required=True, help="git revision of the parent")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", action="append", required=True, help="e.g. 0-9, one per workload")
+    ap.add_argument("--trace", action="append", default=[], metavar="WORKLOAD",
+                    help="also record one traced run per side at this workload's first seed")
     args = ap.parse_args()
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     record = {
@@ -98,6 +110,12 @@ def main() -> None:
                 }
                 out.write_text(json.dumps(record, indent=1) + "\n")
                 print(f"{workload} seed {seed}: done", file=sys.stderr, flush=True)
+            if workload in args.trace:
+                seed = seeds(spec)[0]
+                record["workloads"][workload]["trace"] = {"seed": seed, **{
+                    side: layer_values(run(sides[side], workload, seed, trace=True))
+                    for side in ("parent", "change")}}
+                out.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":
