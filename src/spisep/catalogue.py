@@ -41,6 +41,7 @@ from .graphs import (
     apply_labeling,
     enumerate_couplings,
     graph_of_matrix,
+    representative_labelings,
 )
 from .sssp import direct_sum_interleave, has_sssp_nullspace, has_sssp_rank
 
@@ -67,16 +68,6 @@ ORDER4_GRAPHS: dict[str, LabeledGraph] = {
 
 #: The three couplings of four vertex names.
 ORDER4_COUPLINGS: dict[int, Coupling] = dict(enumerate(enumerate_couplings(4), 1))
-
-
-def canonical_labeling(coupling: Coupling) -> tuple[int, ...]:
-    """The representative labeling sending the k-th pair to labels {k, k+p}."""
-    p = coupling.p
-    lab = [0] * (2 * p)
-    for k, (a, b) in enumerate(coupling.pairs, start=1):
-        lab[a - 1] = k
-        lab[b - 1] = k + p
-    return tuple(lab)
 
 
 @dataclass
@@ -234,8 +225,8 @@ _JUSTIFICATION_TEXT = {
 def _check_arbitrary(entry: CatalogueEntry, with_sssp: bool) -> None:
     N = entry.witness
     entry.checks["witness_pattern"] = N is not None and graph_of_matrix(N) == entry.pattern
-    entry.checks["witness_symplectic_pd"] = is_symplectic_pd(N, tol=1e-8)
-    entry.checks["witness_inverse_identity"] = symplectic_pd_inverse_identity(N, tol=1e-8)
+    entry.checks["witness_symplectic_pd"] = is_symplectic_pd(N)
+    entry.checks["witness_inverse_identity"] = symplectic_pd_inverse_identity(N)
     if with_sssp:
         rank_ok = has_sssp_rank(N)
         null_ok, _ = has_sssp_nullspace(N)
@@ -263,8 +254,10 @@ def build_order4_catalogue(seed: int = 0, evidence_samples: int = 1000) -> list[
     entries: list[CatalogueEntry] = []
     for name, G in ORDER4_GRAPHS.items():
         for cid, coupling in ORDER4_COUPLINGS.items():
-            labeling = canonical_labeling(coupling)
-            pattern = apply_labeling(CoupledGraph(G, coupling), labeling)
+            CG = CoupledGraph(G, coupling)
+            # the first representative labeling sends the k-th pair to labels {k, k+p}
+            labeling = representative_labelings(CG)[0]
+            pattern = apply_labeling(CG, labeling)
             verdict, kind, builder = _TABLE[(name, cid)]
             witness = None
             if builder == "smear":

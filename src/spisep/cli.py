@@ -27,6 +27,7 @@ from .constructions import (
 from .core import (
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
+    pattern_tol,
     symplectic_spectrum,
     williamson,
     omega,
@@ -116,10 +117,9 @@ def cmd_williamson(args) -> dict:
 
 def cmd_sssp(args) -> dict:
     N = load_matrix(args.matrix)
-    rank_verdict = has_sssp_rank(N, rank_tol=args.tol_rank, zero_tol=args.tol_zero)
-    null_verdict, witness = has_sssp_nullspace(
-        N, rank_tol=args.tol_rank, zero_tol=args.tol_zero
-    )
+    zero_tol = pattern_tol(N) if args.tol_zero is None else args.tol_zero
+    rank_verdict = has_sssp_rank(N, rank_tol=args.tol_rank, zero_tol=zero_tol)
+    null_verdict, witness = has_sssp_nullspace(N, rank_tol=args.tol_rank, zero_tol=zero_tol)
     if rank_verdict != null_verdict:
         raise NumericalFailure(
             f"SSSP tests disagree: rank test {rank_verdict}, nullspace test {null_verdict}"
@@ -131,13 +131,12 @@ def cmd_sssp(args) -> dict:
         "rank_test": rank_verdict,
         "nullspace_test": null_verdict,
         "witness": None if witness is None else _matrix_list(witness),
-        "tolerances": {"rank_tol": args.tol_rank, "zero_tol": args.tol_zero},
+        "tolerances": {"rank_tol": args.tol_rank, "zero_tol": zero_tol},
     }
     if args.direction:
         R = load_matrix(args.direction)
-        verdict = has_sssp_in_direction(N, R, rank_tol=args.tol_rank, zero_tol=args.tol_zero)
-        # R is cut at its own default tolerance, as has_sssp_in_direction cuts it
-        enlarged = direction_graph(graph_of_matrix(N, zero_tol=args.tol_zero), R)
+        verdict = has_sssp_in_direction(N, R, rank_tol=args.tol_rank, zero_tol=zero_tol)
+        enlarged = direction_graph(graph_of_matrix(N, zero_tol=zero_tol), R)
         report["direction"] = {
             "sssp_in_direction": verdict,
             "enlarged_pattern_edges": sorted(list(e) for e in enlarged.edges),

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.sparse import csgraph
 
 from .core import (
+    _nonzero,
     as_symmetric,
     basic_symplectic,
     is_positive_definite,
@@ -132,29 +133,26 @@ def random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def _random_pd_stack(
-    G: LabeledGraph, count: int, rng: np.random.Generator, margin: tuple[float, float] = (0.5, 1.5)
-) -> np.ndarray:
-    # count positive definite matrices whose labeled graph is exactly G, stacked
+def _random_pd_stack(G: LabeledGraph, count: int, rng: np.random.Generator) -> np.ndarray:
+    # count positive definite matrices whose labeled graph is exactly G, stacked;
+    # the shift puts each smallest eigenvalue at or above a draw from [0.5, 1.5)
     n = G.order
     W = np.zeros((count, n, n))
     for i, j in G.edges:
         w = rng.uniform(0.2, 1.0, size=count) * _SIGNS[rng.integers(0, 2, size=count)]
         W[:, i - 1, j - 1] = W[:, j - 1, i - 1] = w
     lam = np.linalg.eigvalsh(W)[:, 0] if G.edges else np.zeros(count)
-    shift = np.abs(np.minimum(lam, 0.0)) + rng.uniform(*margin, size=count)
+    shift = np.abs(np.minimum(lam, 0.0)) + rng.uniform(0.5, 1.5, size=count)
     return W + shift[:, None, None] * np.eye(n)
 
 
-def random_pd_with_graph(
-    G: LabeledGraph, rng: np.random.Generator, margin: tuple[float, float] = (0.5, 1.5)
-) -> np.ndarray:
+def random_pd_with_graph(G: LabeledGraph, rng: np.random.Generator) -> np.ndarray:
     """A positive definite matrix whose labeled graph is exactly G.
 
     Edge entries are bounded away from zero and the diagonal shift keeps the
     smallest eigenvalue positive, so the pattern is exact by construction.
     """
-    return _random_pd_stack(G, 1, rng, margin)[0]
+    return _random_pd_stack(G, 1, rng)[0]
 
 
 def _two_cliques_graph(p: int) -> LabeledGraph:
@@ -362,11 +360,9 @@ def sparsity_audit(N, zero_tol: float | None = None) -> SparsityReport:
         raise ValueError("sparsity audit expects a positive definite matrix")
     n = N.shape[0]
     Ninv = np.linalg.inv(N)
-    tol_n = pattern_tol(N) if zero_tol is None else zero_tol
-    tol_i = pattern_tol(Ninv) if zero_tol is None else zero_tol
-    nnz = int(np.sum(np.abs(N) > tol_n))
-    nnz_inv = int(np.sum(np.abs(Ninv) > tol_i))
-    irreducible = graph_of_matrix(N, zero_tol=tol_n).is_connected()
+    nnz = int(np.sum(_nonzero(N, zero_tol)))
+    nnz_inv = int(np.sum(_nonzero(Ninv, zero_tol)))
+    irreducible = graph_of_matrix(N, zero_tol).is_connected()
     pair_holds = (nnz + nnz_inv >= 8 * n - 8) if irreducible else None
     sympd = n % 2 == 0 and is_symplectic_pd(N)
     single_holds = (nnz >= 4 * n - 4) if (sympd and irreducible) else None
@@ -374,7 +370,7 @@ def sparsity_audit(N, zero_tol: float | None = None) -> SparsityReport:
         order=n,
         nnz=nnz,
         nnz_inverse=nnz_inv,
-        zero_tol=tol_n,
+        zero_tol=pattern_tol(N) if zero_tol is None else zero_tol,
         irreducible=irreducible,
         pair_bound=8 * n - 8,
         pair_bound_holds=pair_holds,

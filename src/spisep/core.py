@@ -75,14 +75,15 @@ def is_symplectic(S, tol: float = 1e-8) -> bool:
     return float(np.max(np.abs(S.T @ om @ S - om))) <= tol
 
 
-def is_hamiltonian(M, tol: float = 1e-10) -> bool:
-    """True iff Omega @ M is symmetric, i.e. M = [[R, E], [F, -R.T]] with E, F symmetric."""
+def is_hamiltonian(M) -> bool:
+    """True iff Omega @ M is symmetric, i.e. M = [[R, E], [F, -R.T]] with E, F symmetric,
+    to within 1e-10 relative to max(1, max |M|)."""
     M = as_square(M)
     if M.shape[0] % 2 != 0:
         return False
     om = omega(M.shape[0] // 2)
     W = om @ M
-    return float(np.max(np.abs(W - W.T))) <= tol * max(1.0, float(np.max(np.abs(M))))
+    return float(np.max(np.abs(W - W.T))) <= 1e-10 * max(1.0, float(np.max(np.abs(M))))
 
 
 def pattern_tol(N) -> float:
@@ -92,19 +93,25 @@ def pattern_tol(N) -> float:
     return 1e-10 * m
 
 
-def is_positive_definite(N, tol: float | None = None) -> bool:
+def _nonzero(N, zero_tol: float | None) -> np.ndarray:
+    """The one structural-zero rule: True where |N| > zero_tol, with
+    ``zero_tol=None`` meaning :func:`pattern_tol` of N."""
+    N = np.asarray(N, dtype=float)
+    return np.abs(N) > (pattern_tol(N) if zero_tol is None else zero_tol)
+
+
+def is_positive_definite(N) -> bool:
     """Positive definiteness via a pivoted symmetric (Bunch-Kaufman) factorization.
 
-    All pivot eigenvalues must exceed ``tol``; the default is scale-invariant,
-    ``1e-10 * max(diagonal)``.
+    All pivot eigenvalues must exceed the scale-invariant
+    ``tol = 1e-10 * max(diagonal)``.
     """
     N = as_symmetric(N)
     d = np.diag(N)
     if d.size == 0:
         return False
-    if tol is None:
-        dmax = float(d.max())
-        tol = 1e-10 * dmax if dmax > 0 else 0.0
+    dmax = float(d.max())
+    tol = 1e-10 * dmax if dmax > 0 else 0.0
     if d.min() <= tol:
         return False
     if not np.isfinite(N).all():
@@ -132,6 +139,7 @@ def is_positive_definite(N, tol: float | None = None) -> bool:
 
 
 def _require_pd(N) -> np.ndarray:
+    # the one positive definiteness gate: the symmetrized N of even order, or a raise
     N = as_symmetric(N, even=True)
     if not is_positive_definite(N):
         raise NotPositiveDefiniteError("matrix is not positive definite")
@@ -300,13 +308,10 @@ def symplectic_pd_inverse_identity(N, tol: float = 1e-8) -> bool:
     with :func:`is_symplectic_pd` on every input.
     """
     N = as_symmetric(N, even=True)
-    p = N.shape[0] // 2
-    try:
-        Ninv = np.linalg.inv(N)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("matrix is singular") from exc
-    if not is_positive_definite(N):
+    if not is_positive_definite(N):  # and so invertible
         return False
+    p = N.shape[0] // 2
+    Ninv = np.linalg.inv(N)
     blocked = np.block(
         [[N[p:, p:], -N[:p, p:].T], [-N[:p, p:], N[:p, :p]]]
     )

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_symmetric, pattern_tol
+from .core import _nonzero, as_symmetric
 
 
 def _norm_edge(e) -> tuple[int, int]:
@@ -117,11 +117,8 @@ def graph_of_matrix(N, zero_tol: float | None = None) -> LabeledGraph:
     produce exact zeros but congruences introduce noise.
     """
     N = as_symmetric(N)
-    if zero_tol is None:
-        zero_tol = pattern_tol(N)
-    n = N.shape[0]
-    i, j = np.nonzero(np.triu(np.abs(N) > zero_tol, k=1))
-    return LabeledGraph(n, frozenset(zip((i + 1).tolist(), (j + 1).tolist())))
+    i, j = np.nonzero(np.triu(_nonzero(N, zero_tol), k=1))
+    return LabeledGraph(N.shape[0], frozenset(zip((i + 1).tolist(), (j + 1).tolist())))
 
 
 def complement(G: LabeledGraph) -> LabeledGraph:

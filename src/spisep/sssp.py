@@ -20,14 +20,16 @@ from scipy.linalg.lapack import dpotrf
 
 from .core import (
     NotPositiveDefiniteError,
+    _nonzero,
+    _require_pd,
     _symplectic_values,
     _williamson_columns,
     as_symmetric,
     is_hamiltonian,
     is_positive_definite,
     omega,
-    pattern_tol,
 )
+from .core import pattern_tol  # noqa: F401  (the default zero_tol, beside _nonedge_pairs)
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
@@ -151,15 +153,12 @@ def verification_matrix(N, zero_tol: float | None = None) -> VerificationMatrix:
     (i < j) of the labeled graph of N.
     """
     N = as_symmetric(N, even=True)
-    if zero_tol is None:
-        zero_tol = pattern_tol(N)
     full = verification_matrix_full(N).full
-    keep = _nonedge_rows(N, zero_tol)
-    i, j = _triangle(N.shape[0])
+    a, b = _nonedge_pairs(N, zero_tol)
     return VerificationMatrix(
         full=full,
-        reduced=full[keep, :],
-        row_index=tuple(zip((i[keep] + 1).tolist(), (j[keep] + 1).tolist())),
+        reduced=full[b * (b + 1) // 2 + a, :],  # the triangle row of (a, b)
+        row_index=tuple(zip((a + 1).tolist(), (b + 1).tolist())),
     )
 
 
@@ -203,16 +202,10 @@ def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nonedge_rows(N: np.ndarray, zero_tol: float) -> np.ndarray:
-    # the triangle rows of the strictly off-diagonal structural zeros of N
-    i, j = _triangle(N.shape[0])
-    return np.flatnonzero((i != j) & (np.abs(N[i, j]) <= zero_tol))
-
-
-def _nonedge_pairs(N: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
     # 0-based positions (i, j), i < j, of the structural zeros of N, in triangle_pairs order
     i, j = _triangle(N.shape[0])
-    keep = _nonedge_rows(N, zero_tol)
+    keep = (i != j) & ~_nonzero(N, zero_tol)[i, j]
     return i[keep], j[keep]
 
 
@@ -272,11 +265,7 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     (singular values above ``rank_tol`` times the largest).  The rows are
     those of ``verification_matrix(N).reduced``, built directly from N.
     """
-    N = as_symmetric(N, even=True)
-    if not is_positive_definite(N):
-        raise NotPositiveDefiniteError("SSSP is defined for positive definite matrices")
-    if zero_tol is None:
-        zero_tol = pattern_tol(N)
+    N = _require_pd(N)
     a, b = _nonedge_pairs(N, zero_tol)
     return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
 
@@ -316,11 +305,7 @@ def has_sssp_nullspace(
     :func:`has_sssp_rank`, raises NotPositiveDefiniteError unless N is
     positive definite.
     """
-    N = as_symmetric(N, even=True)
-    if not is_positive_definite(N):
-        raise NotPositiveDefiniteError("SSSP is defined for positive definite matrices")
-    if zero_tol is None:
-        zero_tol = pattern_tol(N)
+    N = _require_pd(N)
     a, b = _nonedge_pairs(N, zero_tol)
     if a.size == 0:
         return True, None
@@ -343,8 +328,9 @@ def tangent_element(N, M) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
-def in_tangent_space(N, R, tol: float = 1e-8) -> bool:
-    """Whether R lies in {N M + M.T N : M Hamiltonian}, via least squares."""
+def in_tangent_space(N, R) -> bool:
+    """Whether R lies in {N M + M.T N : M Hamiltonian}, via least squares: the
+    residual must be at most 1e-8 relative to max(1, ||vec_triangle(R)||)."""
     N = as_symmetric(N, even=True)
     R = as_symmetric(R)
     b = vec_triangle(R)
@@ -352,7 +338,7 @@ def in_tangent_space(N, R, tol: float = 1e-8) -> bool:
         return True
     A = _tangent_rows(N, *_triangle(N.shape[0]))
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return float(np.linalg.norm(A @ x - b)) <= tol * max(1.0, float(np.linalg.norm(b)))
+    return float(np.linalg.norm(A @ x - b)) <= 1e-8 * max(1.0, float(np.linalg.norm(b)))
 
 
 def has_sssp_in_direction(
@@ -362,26 +348,26 @@ def has_sssp_in_direction(
 
     R must lie in the tangent space of N.  True iff Y = 0 is the only
     symmetric matrix with N o Y = 0, R o Y = 0 and Omega N Y = Y N Omega.
+    Like the two oracles, raises NotPositiveDefiniteError unless N is
+    positive definite; R is cut at its own default tolerance.
     """
-    N = as_symmetric(N, even=True)
+    N = _require_pd(N)
     R = as_symmetric(R)
     if not in_tangent_space(N, R):
         raise ValueError("R is not in the tangent space of N")
-    if zero_tol is None:
-        zero_tol = pattern_tol(N)
-    r_tol = pattern_tol(R)
     a, b = _nonedge_pairs(N, zero_tol)
-    keep = np.abs(R[a, b]) <= r_tol
+    keep = ~_nonzero(R, None)[a, b]
     a, b = a[keep], b[keep]
     return a.size == 0 or _full_rank(_commutation_rows(N, a, b), rank_tol)
 
 
-def direction_graph(G: LabeledGraph, R, zero_tol: float | None = None) -> LabeledGraph:
-    """G with an edge {i, j} inserted wherever R has a nonzero off-diagonal entry."""
+def direction_graph(G: LabeledGraph, R) -> LabeledGraph:
+    """G with an edge {i, j} inserted wherever R has a nonzero off-diagonal entry,
+    with R cut at its own default tolerance, as :func:`has_sssp_in_direction` cuts it."""
     R = as_symmetric(R)
     if R.shape[0] != G.order:
         raise ValueError("R must match the order of G")
-    return G.with_edges(graph_of_matrix(R, zero_tol=zero_tol).edges)
+    return G.with_edges(graph_of_matrix(R).edges)
 
 
 def direct_sum_interleave(P, Q) -> np.ndarray:
@@ -392,10 +378,7 @@ def direct_sum_interleave(P, Q) -> np.ndarray:
     but respects the block convention of the symplectic form.  Its symplectic
     spectrum is the union of the two spectra.
     """
-    P = as_symmetric(P, even=True)
-    Q = as_symmetric(Q, even=True)
-    if not (is_positive_definite(P) and is_positive_definite(Q)):
-        raise NotPositiveDefiniteError("both blocks must be positive definite")
+    P, Q = _require_pd(P), _require_pd(Q)
     m, r = P.shape[0] // 2, Q.shape[0] // 2
     p = m + r
     idx_p = list(range(m)) + list(range(p, p + m))

@@ -277,6 +277,10 @@ def test_inverse_identity_matches_direct_test():
         M = sp.random_pd(n, rng)
         assert sp.is_symplectic_pd(M) == sp.symplectic_pd_inverse_identity(M)
     assert not sp.symplectic_pd_inverse_identity(np.diag([2.0, 2.0, 1.0, 1.0]) + 0.1)
+    # singular input: not PD, so both tests say False instead of one raising
+    for M in (np.zeros((4, 4)), np.diag([1.0, 1.0, 0.0, 1.0])):
+        assert sp.is_symplectic_pd(M) is False
+        assert sp.symplectic_pd_inverse_identity(M) is False
 
 
 def test_three_way_characterization_agrees():

@@ -120,6 +120,8 @@ def test_cli_tol_zero_decides_structural_zeros(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["sssp"] is False
     assert np.count_nonzero(report["witness"]) > 0
+    # the report shows the threshold the verdicts used, not a null
+    assert report["tolerances"]["zero_tol"] == 1e-10 * np.max(np.abs(N))
     assert main(["sssp", path, "--tol-zero", "0", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["sssp"] is True and report["witness"] is None

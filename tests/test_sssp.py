@@ -540,6 +540,27 @@ def test_both_oracles_reject_the_same_indefinite_input(N):
         sp.has_sssp_rank(N)
     with pytest.raises(sp.NotPositiveDefiniteError):
         sp.has_sssp_nullspace(N)
+    # the in-direction oracle shares the gate, ahead of its tangent test
+    with pytest.raises(sp.NotPositiveDefiniteError):
+        sp.has_sssp_in_direction(N, np.zeros_like(N))
+
+
+@pytest.mark.parametrize("zero_tol", [None, 0.0, 1e-3, 0.3])
+def test_reduced_rows_sit_at_the_non_edges_of_the_graph(zero_tol):
+    # one structural-zero rule: the verification matrix drops exactly the
+    # edges that graph_of_matrix reports, at every tolerance
+    rng = np.random.default_rng(21)
+    for p in range(1, 6):
+        n = 2 * p
+        N = sp.random_pd(n, rng) * (rng.uniform(size=(n, n)) < 0.5)
+        N = N + N.T + 2 * n * np.eye(n) + 1e-12 * sp.random_symmetric(n, rng)
+        G = sp.graph_of_matrix(N, zero_tol)
+        V = sp.verification_matrix(N, zero_tol)
+        assert V.row_index == tuple(
+            (i, j) for i, j in sp.triangle_pairs(n) if i != j and not G.has_edge(i, j)
+        )
+        rows = [sp.triangle_pairs(n).index(ij) for ij in V.row_index]
+        assert np.array_equal(V.reduced, V.full[rows])
 
 
 @settings(max_examples=40, deadline=None)

@@ -53,12 +53,18 @@ def _assert_all_rules_exact(G, couplings=()):
         assert sp.coupled_closure(CG, witness) == frozenset(range(1, n + 1))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_search_matches_brute_force_on_all_trees(n):
-    couplings = sp.enumerate_couplings(n) if n % 2 == 0 else ()
+    # every coupling up to order 8; of the 945 at order 10, a seeded 15 per tree
+    couplings = sp.enumerate_couplings(n) if n % 2 == 0 else []
+    rng = np.random.default_rng(n)
     for T in nx.nonisomorphic_trees(n) if n > 1 else [nx.empty_graph(1)]:
         G = sp.LabeledGraph.from_edges(n, [(u + 1, v + 1) for u, v in T.edges])
-        _assert_all_rules_exact(G, couplings)
+        if n == 10:
+            picks = rng.choice(len(couplings), 15, replace=False)
+            _assert_all_rules_exact(G, [couplings[k] for k in picks])
+        else:
+            _assert_all_rules_exact(G, couplings)
 
 
 def test_search_matches_brute_force_on_random_graphs():
