@@ -244,7 +244,7 @@ def cmd_audit_sparsity(args) -> dict:
         "single_bound": rep.single_bound,
         "single_bound_holds": rep.single_bound_holds,
         "violation": rep.violation,
-        "tolerances": {"zero_tol": rep.zero_tol},
+        "tolerances": {"zero_tol": rep.zero_tol, "zero_tol_inverse": rep.zero_tol_inverse},
     }
 
 

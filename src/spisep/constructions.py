@@ -341,6 +341,7 @@ class SparsityReport:
     nnz: int
     nnz_inverse: int
     zero_tol: float
+    zero_tol_inverse: float
     irreducible: bool
     pair_bound: int
     pair_bound_holds: bool | None
@@ -354,14 +355,18 @@ class SparsityReport:
 
 
 def sparsity_audit(N, zero_tol: float | None = None) -> SparsityReport:
-    """Count nonzeros of N and its inverse and check the sparsity lower bounds."""
+    """Count nonzeros of N and its inverse and check the sparsity lower bounds.
+
+    Both are cut at ``zero_tol`` when given, else each at its own :func:`pattern_tol`.
+    """
     N = as_symmetric(N)
     if not is_positive_definite(N):
         raise ValueError("sparsity audit expects a positive definite matrix")
     n = N.shape[0]
     Ninv = np.linalg.inv(N)
-    nnz = int(np.sum(_nonzero(N, zero_tol)))
-    nnz_inv = int(np.sum(_nonzero(Ninv, zero_tol)))
+    tol, tol_inv = (pattern_tol(N), pattern_tol(Ninv)) if zero_tol is None else (zero_tol,) * 2
+    nnz = int(np.sum(_nonzero(N, tol)))
+    nnz_inv = int(np.sum(_nonzero(Ninv, tol_inv)))
     irreducible = graph_of_matrix(N, zero_tol).is_connected()
     pair_holds = (nnz + nnz_inv >= 8 * n - 8) if irreducible else None
     sympd = n % 2 == 0 and is_symplectic_pd(N)
@@ -370,7 +375,8 @@ def sparsity_audit(N, zero_tol: float | None = None) -> SparsityReport:
         order=n,
         nnz=nnz,
         nnz_inverse=nnz_inv,
-        zero_tol=pattern_tol(N) if zero_tol is None else zero_tol,
+        zero_tol=tol,
+        zero_tol_inverse=tol_inv,
         irreducible=irreducible,
         pair_bound=8 * n - 8,
         pair_bound_holds=pair_holds,

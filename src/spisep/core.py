@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgees, dgesdd, dpotrf, dtrtrs
 
 DEFAULT_CLUSTER_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -101,70 +102,71 @@ def _nonzero(N, zero_tol: float | None) -> np.ndarray:
 
 
 def is_positive_definite(N) -> bool:
-    """Positive definiteness via a pivoted symmetric (Bunch-Kaufman) factorization.
+    """Positive definiteness, proven by one Cholesky factorization of a shifted N.
 
-    All pivot eigenvalues must exceed the scale-invariant
-    ``tol = 1e-10 * max(diagonal)``.
+    With N symmetric of order n, u = eps / 2 and gamma_j = j u / (1 - j u),
+    f = fl(trace N) must be positive and finite, N's diagonal is lowered by
+    tau = 4 (n + 1) eps f, and True is returned only when LAPACK's dpotrf
+    completes on the result H.  Then every diagonal entry of H is positive,
+    so 0 < N_ii <= trace N and the subtraction rounds each by at most
+    u trace N; the factorization gives R^T R = H + dH with ||dH||_2 <=
+    gamma_{n+1} ||R||_F^2 <= gamma_{n+1} trace(N) (1 + O(u)) (Demmel, "On
+    floating point errors in Cholesky", 1989; Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 10.1); and f >= trace(N) (1 -
+    gamma_n).  So lambda_min(N) >= tau - (n + 2) u trace(N) (1 + O(u)) > 0,
+    the shift covering every rounding term at least four times over, and
+    True proves N positive definite.  N may be refused when its smallest
+    eigenvalue lies within about tau of zero, when it is empty and when its
+    trace overflows; infs or NaNs raise ValueError.
     """
-    N = as_symmetric(N)
-    d = np.diag(N)
-    if d.size == 0:
-        return False
-    dmax = float(d.max())
-    tol = 1e-10 * dmax if dmax > 0 else 0.0
-    if d.min() <= tol:
-        return False
+    return _certified_pd(as_symmetric(N))
+
+
+def _certified_pd(N: np.ndarray) -> bool:
+    # is_positive_definite's proof on an exactly symmetric N
     if not np.isfinite(N).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    # The pivots are read straight from LAPACK's compact output: D's blocks
-    # sit on the diagonal and first subdiagonal, and a 2x2 block shows as a
-    # pair of equal negative ipiv entries.  The workspace query keeps the
-    # blocked code path that scipy.linalg.ldl would take.
-    n = N.shape[0]
-    lwork = int(scipy.linalg.lapack.dsytrf_lwork(n, lower=1)[0])
-    ldu, ipiv, info = scipy.linalg.lapack.dsytrf(N, lower=1, lwork=lwork)
-    if info < 0:
-        raise ValueError(f"dsytrf: illegal value in argument {-info}")
-    i = 0
-    while i < n:
-        if ipiv[i] < 0:
-            if np.min(np.linalg.eigvalsh(ldu[i : i + 2, i : i + 2], UPLO="L")) <= tol:
-                return False
-            i += 2
-        else:
-            if ldu[i, i] <= tol:
-                return False
-            i += 1
-    return True
+    f = N.trace()
+    if not 0.0 < f < np.inf:
+        return False
+    H = N.copy(order="F")
+    H.flat[:: N.shape[0] + 1] -= 4 * (N.shape[0] + 1) * _EPS * f
+    return dpotrf(H, clean=0, overwrite_a=1)[1] == 0
 
 
-def _require_pd(N) -> np.ndarray:
-    # the one positive definiteness gate: the symmetrized N of even order, or a raise
-    N = as_symmetric(N, even=True)
-    if not is_positive_definite(N):
+def _cholesky(N: np.ndarray) -> np.ndarray:
+    # the lower factor L of N = L L.T, unshifted, or NotPositiveDefiniteError
+    L, info = dpotrf(N, lower=1)
+    if info != 0:
         raise NotPositiveDefiniteError("matrix is not positive definite")
-    return N
+    return L
 
 
-def _cholesky_form(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _require_pd(N) -> tuple[np.ndarray, np.ndarray]:
+    # the one PD gate: the symmetrized N of even order and its Cholesky factor, or a raise
+    N = as_symmetric(N, even=True)
+    if not _certified_pd(N):
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    return N, _cholesky(N)
+
+
+def _cholesky_form(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The Cholesky factor L of N = L L.T and K = L.T Omega L.
 
     K is exactly skew-symmetric and similar to Omega N, so its eigenvalues
-    are +-i d for the symplectic eigenvalues d of N.  Raises
-    NotPositiveDefiniteError when the factorization fails.
+    are +-i d for the symplectic eigenvalues d of N.  Without L, N is
+    factored here, raising NotPositiveDefiniteError on failure.
     """
-    try:
-        L = np.linalg.cholesky(N)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
+    if L is None:
+        L = _cholesky(N)
     p = N.shape[0] // 2
     M = L[:p].T @ L[p:]  # Omega L stacks L[p:] over -L[:p]
     return L, M - M.T
 
 
-def _symplectic_values(N: np.ndarray) -> np.ndarray:
-    # the paired singular values of K, ascending; raises on non-PD N
-    s = np.linalg.svd(_cholesky_form(N)[1], compute_uv=False)  # descending, in pairs
+def _symplectic_values(N: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
+    # the paired singular values of K, ascending; factors N only without L
+    s = dgesdd(_cholesky_form(N, L)[1], compute_uv=0, overwrite_a=1)[1]  # descending, in pairs
     return np.sort(0.5 * (s[0::2] + s[1::2]))
 
 
@@ -216,7 +218,7 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
     in pairs, one pair per symplectic eigenvalue.  This keeps the pairing
     exact by construction instead of trusting a nonsymmetric eigensolver.
     """
-    vals = _symplectic_values(_require_pd(N))
+    vals = _symplectic_values(*_require_pd(N))
     return SymplecticSpectrum(
         values=tuple(float(v) for v in vals),
         clusters=cluster_values(vals, cluster_tol),
@@ -239,7 +241,7 @@ class WilliamsonPair:
         return np.diag(dd)
 
 
-def _williamson_columns(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _williamson_columns(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ascending symplectic eigenvalues d of N and a symplectic S with
     S.T @ N @ S = diag(d, d), without checking either.
 
@@ -247,26 +249,21 @@ def _williamson_columns(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     N = L @ L.T the Cholesky factorization.  Its 2x2 blocks carry d; with
     the block vectors reassembled into an orthogonal Q with
     Q.T @ K @ Q = Omega @ diag(d, d), the congruence is
-    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Raises
-    NotPositiveDefiniteError when N has no Cholesky factor.
+    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Without L, N is factored
+    here, raising NotPositiveDefiniteError on failure.
     """
-    n = N.shape[0]
-    L, K = _cholesky_form(N)
-    T, Z = scipy.linalg.schur(K, output="real")
-    pairs = []  # (d, u, v) with K u = -d v, K v = d u
-    for i in range(0, n, 2):
-        d = float(T[i, i + 1])
-        if d == 0.0:
-            raise np.linalg.LinAlgError("degenerate Schur block in Williamson form")
-        u, v = Z[:, i], Z[:, i + 1]
-        if d < 0:
-            u, v, d = v, u, -d
-        pairs.append((d, u, v))
-    pairs.sort(key=lambda t: t[0])
-    d = np.array([t[0] for t in pairs])
-    Q = np.column_stack([t[1] for t in pairs] + [t[2] for t in pairs])
-    scale = np.concatenate([np.sqrt(d), np.sqrt(d)])
-    return d, scipy.linalg.solve_triangular(L, Q, trans="T", lower=True) * scale
+    L, K = _cholesky_form(N, L)
+    T, _, _, _, Z, _, info = dgees(lambda re, im: 0, K, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("Schur form of K not found")
+    d = T.diagonal(1)[::2]  # block k holds d at (2k, 2k + 1): K z_2k = -d z_2k+1
+    if not d.all():
+        raise np.linalg.LinAlgError("degenerate Schur block in Williamson form")
+    u = np.arange(0, N.shape[0], 2) + (d < 0)  # the column u_k with K u_k = -|d_k| v_k
+    order = np.argsort(np.abs(d), kind="stable")
+    d, u = np.abs(d[order]), u[order]
+    scale = np.sqrt(np.concatenate([d, d]))
+    return d, dtrtrs(L, Z[:, np.concatenate([u, u ^ 1])], lower=1, trans=1)[0] * scale
 
 
 def williamson(N) -> WilliamsonPair:
@@ -276,10 +273,12 @@ def williamson(N) -> WilliamsonPair:
     :func:`_williamson_columns`); S.T @ N @ S = diag(d, d) and the symplectic
     identity of S are both checked to 1e-8 relative to max |N|.
     """
-    N = _require_pd(N)
-    d, S = _williamson_columns(N)
+    N, L = _require_pd(N)
+    d, S = _williamson_columns(N, L)
     scale_n = float(np.max(np.abs(N)))
-    if np.max(np.abs(S.T @ N @ S - np.diag(np.concatenate([d, d])))) > 1e-8 * scale_n:
+    R = S.T @ N @ S
+    R.flat[:: N.shape[0] + 1] -= np.concatenate([d, d])
+    if np.max(np.abs(R)) > 1e-8 * scale_n:
         raise np.linalg.LinAlgError("Williamson reconstruction residual too large")
     if not is_symplectic(S, tol=1e-8 * max(1.0, scale_n)):
         raise np.linalg.LinAlgError("Williamson factor is not symplectic")
@@ -293,7 +292,7 @@ def is_symplectic_pd(N, tol: float = 1e-8) -> bool:
     (Omega @ N)^2 = -I.
     """
     N = as_symmetric(N, even=True)
-    if not is_positive_definite(N):
+    if not _certified_pd(N):
         return False
     om = omega(N.shape[0] // 2)
     W = om @ N
@@ -308,7 +307,7 @@ def symplectic_pd_inverse_identity(N, tol: float = 1e-8) -> bool:
     with :func:`is_symplectic_pd` on every input.
     """
     N = as_symmetric(N, even=True)
-    if not is_positive_definite(N):  # and so invertible
+    if not _certified_pd(N):  # and so invertible
         return False
     p = N.shape[0] // 2
     Ninv = np.linalg.inv(N)

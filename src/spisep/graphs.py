@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -207,7 +207,11 @@ def enumerate_couplings(n: int, max_n: int = 12) -> list[Coupling]:
         raise ValueError("n must be even")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the enumeration guard {max_n}; raise max_n to override")
+    return list(_couplings(n))
 
+
+@lru_cache(maxsize=8)
+def _couplings(n: int) -> tuple[Coupling, ...]:
     def rec(rest: tuple[int, ...]):
         if not rest:
             yield ()
@@ -220,7 +224,7 @@ def enumerate_couplings(n: int, max_n: int = 12) -> list[Coupling]:
                 yield ((a, b),) + more
 
     # rec yields (low, high) pairs sorted by their low ends, the stored form
-    return [Coupling(ps) for ps in rec(tuple(range(1, n + 1)))]
+    return tuple(Coupling(ps) for ps in rec(tuple(range(1, n + 1))))
 
 
 def representative_labelings(CG: CoupledGraph, max_p: int = 5) -> list[tuple[int, ...]]:

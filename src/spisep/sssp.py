@@ -19,7 +19,9 @@ import scipy.optimize
 from scipy.linalg.lapack import dpotrf
 
 from .core import (
+    _EPS,
     NotPositiveDefiniteError,
+    _cholesky,
     _nonzero,
     _require_pd,
     _symplectic_values,
@@ -33,7 +35,6 @@ from .core import pattern_tol  # noqa: F401  (the default zero_tol, beside _none
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     (singular values above ``rank_tol`` times the largest).  The rows are
     those of ``verification_matrix(N).reduced``, built directly from N.
     """
-    N = _require_pd(N)
+    N = _require_pd(N)[0]
     a, b = _nonedge_pairs(N, zero_tol)
     return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
 
@@ -305,7 +306,7 @@ def has_sssp_nullspace(
     :func:`has_sssp_rank`, raises NotPositiveDefiniteError unless N is
     positive definite.
     """
-    N = _require_pd(N)
+    N = _require_pd(N)[0]
     a, b = _nonedge_pairs(N, zero_tol)
     if a.size == 0:
         return True, None
@@ -351,7 +352,7 @@ def has_sssp_in_direction(
     Like the two oracles, raises NotPositiveDefiniteError unless N is
     positive definite; R is cut at its own default tolerance.
     """
-    N = _require_pd(N)
+    N = _require_pd(N)[0]
     R = as_symmetric(R)
     if not in_tangent_space(N, R):
         raise ValueError("R is not in the tangent space of N")
@@ -378,7 +379,7 @@ def direct_sum_interleave(P, Q) -> np.ndarray:
     but respects the block convention of the symplectic form.  Its symplectic
     spectrum is the union of the two spectra.
     """
-    P, Q = _require_pd(P), _require_pd(Q)
+    P, Q = _require_pd(P)[0], _require_pd(Q)[0]
     m, r = P.shape[0] // 2, Q.shape[0] // 2
     p = m + r
     idx_p = list(range(m)) + list(range(p, p + m))
@@ -437,20 +438,26 @@ def continuation_realize(
         N[rows, cols] = N[cols, rows] = x
         return N
 
+    factored = [None, None]  # the last x the residual factored, and its Cholesky factor
+
     def residual(x: np.ndarray) -> np.ndarray:
         # a trial point outside the PD cone is a non-finite step, which the
         # trust region rejects and shrinks from as it does a poor one
+        N = build(x)
         try:
-            return _symplectic_values(build(x)) - target
+            factored[:] = x.copy(), _cholesky(N)
         except NotPositiveDefiniteError:
             return np.full(p, np.inf)
+        return _symplectic_values(N, factored[1]) - target
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # d d_k = (u_k.T dN u_k + v_k.T dN v_k) / 2 for a simple eigenvalue
         # d_k, with u_k, v_k columns k and k + p of the Williamson factor
         # (Bhatia and Jain, J. Math. Phys. 2015); the trust region asks for
-        # it only at accepted points, which lie inside the PD cone
-        S = _williamson_columns(build(x))[1]
+        # it only at accepted points, which lie inside the PD cone and were
+        # factored by the residual just before
+        L = factored[1] if np.array_equal(x, factored[0]) else None
+        S = _williamson_columns(build(x), L)[1]
         U, V = S[:, :p], S[:, p:]
         return ((U[rows] * U[cols] + V[rows] * V[cols]) * half[:, None]).T
 

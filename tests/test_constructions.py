@@ -4,6 +4,7 @@ import pytest
 
 import spisep as sp
 from spisep.constructions import _random_pd_stack
+from spisep.core import pattern_tol
 
 B5_SQUARED = np.array(
     [
@@ -346,6 +347,20 @@ def test_sparsity_audit_random_irreducible():
         rep = sp.sparsity_audit(M)
         assert rep.irreducible
         assert rep.nnz + rep.nnz_inverse >= 8 * n - 8
+
+
+def test_sparsity_audit_reports_the_inverse_threshold():
+    # by default each matrix is cut at its own pattern_tol: 1e-7 for N and
+    # 1e-13 for its inverse, whose (1, 2) entry of -1e-9 then counts
+    N = 1e3 * np.eye(4)
+    N[0, 1] = N[1, 0] = 1e-3
+    rep = sp.sparsity_audit(N)
+    assert rep.zero_tol == pattern_tol(N)
+    assert rep.zero_tol_inverse == pattern_tol(np.linalg.inv(N))
+    assert rep.nnz == 6 and rep.nnz_inverse == 6
+    at = sp.sparsity_audit(N, zero_tol=1e-7)
+    assert at.zero_tol == at.zero_tol_inverse == 1e-7
+    assert at.nnz == 6 and at.nnz_inverse == 4
 
 
 def test_sparsity_audit_rejects_non_pd():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spisep as sp
+from spisep import core
 from spisep.core import cluster_values
 
 # the two labelings of the 4-path from the motivating example
@@ -70,38 +71,17 @@ def test_positive_definite():
     assert np.allclose(minors, [3, 2, 1, 1])
 
 
-def _pd_reference(N):
-    """The PD verdict read from scipy.linalg.ldl's block diagonal D."""
-    N = sp.as_symmetric(N)
-    d = np.diag(N)
-    tol = 1e-10 * float(np.max(d)) if np.max(d) > 0 else 0.0
-    if np.min(d) <= tol:
-        return False
-    _, D, _ = scipy.linalg.ldl(N)
-    i, n = 0, N.shape[0]
-    while i < n:
-        if i + 1 < n and D[i + 1, i] != 0.0:
-            if np.min(np.linalg.eigvalsh(D[i : i + 2, i : i + 2])) <= tol:
-                return False
-            i += 2
-        else:
-            if D[i, i] <= tol:
-                return False
-            i += 1
-    return True
-
-
 def _pd_test_matrices(rng):
     for _ in range(600):
         n = int(rng.integers(1, 11))
         A = rng.standard_normal((n, n))
         S = A + A.T
-        # shift around the smallest eigenvalue: both verdicts, many pivots
-        # of mixed sign and 2x2 blocks behind a positive diagonal
+        # shift around the smallest eigenvalue: both verdicts, and many
+        # indefinite matrices behind a positive diagonal
         w = np.linalg.eigvalsh(S)
         yield S + (-w[0] + rng.uniform(-1.0, 1.0) * (w[-1] - w[0]) * 0.2) * np.eye(n)
     for n in (2, 5, 9, 80):
-        # near-singular: the smallest eigenvalue straddles the 1e-10 tolerance
+        # near-singular: the smallest eigenvalue straddles the proof's shift
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         for lam in (-1e-6, -1e-12, 0.0, 1e-12, 1e-11, 1e-9, 1e-6):
             w = np.concatenate([[lam], rng.uniform(0.5, 2.0, n - 1)])
@@ -109,11 +89,19 @@ def _pd_test_matrices(rng):
 
 
 def test_positive_definite_matches_ldl_reference():
+    # the reference is the spectrum: True wherever the smallest eigenvalue
+    # clears twice the proof's shift 4 (n + 1) eps trace N, False wherever
+    # it is not positive; in between either verdict is sound
     rng = np.random.default_rng(7)
     verdicts = []
     for N in _pd_test_matrices(rng):
+        N = sp.as_symmetric(N)
         got = sp.is_positive_definite(N)
-        assert got == _pd_reference(N)
+        lam = np.linalg.eigvalsh(N)[0]
+        if lam > 2 * 4 * (N.shape[0] + 1) * np.finfo(float).eps * np.trace(N):
+            assert got
+        elif lam <= 0.0:
+            assert not got
         verdicts.append(got)
     assert any(verdicts) and not all(verdicts)
 
@@ -121,6 +109,66 @@ def test_positive_definite_matches_ldl_reference():
 def test_positive_definite_rejects_non_finite():
     with pytest.raises(ValueError):
         sp.is_positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+SHEAR_BLOCK = np.array([[1.0, 0.5], [0.5, 2.0]])
+
+
+@pytest.mark.parametrize("s", [200.0, 300.0, 500.0, 1000.0])
+def test_large_symplectic_pd_shears_are_positive_definite(s):
+    # eigenvalues come as lam and 1 / lam: at s = 200 from 5.1e-6 to 1.9e5,
+    # far below any pivot floor relative to the diagonal
+    N = sp.shear_square(s * SHEAR_BLOCK)
+    assert sp.is_positive_definite(N) and sp.is_symplectic_pd(N)
+    np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), 1.0, rtol=1e-10)
+    pair = sp.williamson(N)  # raises unless both of its gates pass
+    np.testing.assert_allclose(np.asarray(pair.d), 1.0, rtol=1e-10)
+
+
+def test_shear_beyond_the_proof_is_refused():
+    # condition number about 4e16: the smallest eigenvalue lies below the shift
+    N = sp.shear_square(1e4 * SHEAR_BLOCK)
+    assert not sp.is_positive_definite(N) and not sp.is_symplectic_pd(N)
+    for f in (sp.symplectic_spectrum, sp.williamson):
+        with pytest.raises(sp.NotPositiveDefiniteError):
+            f(N)
+
+
+def test_spectrum_and_williamson_match_eigenvalue_moduli():
+    # the eigenvalues of Omega N are +-i d, so their sorted moduli pair up
+    rng = np.random.default_rng(21)
+    for _ in range(80):
+        p = int(rng.integers(1, 9))
+        N = sp.random_pd(2 * p, rng)
+        w = np.sort(np.abs(np.linalg.eigvals(sp.omega(p) @ N)))
+        ref = 0.5 * (w[0::2] + w[1::2])
+        np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), ref, rtol=1e-10)
+        np.testing.assert_allclose(np.asarray(sp.williamson(N).d), ref, rtol=1e-10)
+
+
+def test_each_public_call_factors_n_once(monkeypatch):
+    # one proof on the shifted N and one unshifted factor for the kernel,
+    # with no Schur, triangular-solve or symmetric-indefinite wrapper
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrapper called")
+
+    for name in ("schur", "solve_triangular", "ldl"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", refuse)
+    dpotrf = core.dpotrf
+    args = []
+
+    def spy(a, **kwargs):
+        args.append(np.array(a))
+        return dpotrf(a, **kwargs)
+
+    monkeypatch.setattr(core, "dpotrf", spy)
+    N = sp.as_symmetric(sp.random_pd(6, np.random.default_rng(3)))
+    for f in (sp.symplectic_spectrum, sp.williamson):
+        args.clear()
+        f(N)
+        assert len(args) == 2
+        assert sum(np.array_equal(a, N) for a in args) == 1
 
 
 def test_spectrum_of_identity_has_single_cluster():

@@ -114,6 +114,14 @@ def test_enumerate_couplings_double_factorial(n, count):
     assert all(c == sp.Coupling.from_pairs(c.pairs) for c in couplings)
 
 
+def test_enumerate_couplings_returns_a_fresh_list():
+    first = sp.enumerate_couplings(6)
+    expected = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert sp.enumerate_couplings(6) == expected
+
+
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         sp.enumerate_couplings(14)

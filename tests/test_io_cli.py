@@ -306,6 +306,21 @@ def test_cli_audit_sparsity(tmp_path, capsys):
     assert not report["violation"]
 
 
+def test_cli_audit_sparsity_reports_both_thresholds(tmp_path, capsys):
+    N = 1e3 * np.eye(4)
+    N[0, 1] = N[1, 0] = 1e-3
+    path = _write_matrix(tmp_path, "n.json", N)
+    assert main(["audit-sparsity", path, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nnz_inverse"] == 6
+    assert report["tolerances"] == {"zero_tol": pytest.approx(1e-7),
+                                    "zero_tol_inverse": pytest.approx(1e-13)}
+    assert main(["audit-sparsity", path, "--tol-zero", "1e-7", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nnz_inverse"] == 4
+    assert report["tolerances"] == {"zero_tol": 1e-7, "zero_tol_inverse": 1e-7}
+
+
 def test_cli_catalogue_small_sample(capsys):
     assert main(["catalogue-order4", "--samples", "60", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)

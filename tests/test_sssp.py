@@ -437,6 +437,26 @@ def test_continuation_passes_the_exact_jacobian(monkeypatch):
     assert jacs and all(callable(j) for j in jacs)
 
 
+def test_continuation_jacobian_reuses_the_residual_factor(monkeypatch):
+    # least_squares asks for the Jacobian at the point it last evaluated, so
+    # every Jacobian gets the residual's Cholesky factor of that same N
+    williamson_columns = sssp._williamson_columns
+    given = []
+
+    def spy(N, L=None):
+        given.append(L is not None and np.allclose(L @ L.T, N, rtol=0.0, atol=1e-12))
+        return williamson_columns(N, L)
+
+    monkeypatch.setattr(sssp, "_williamson_columns", spy)
+    rng = np.random.default_rng(5)
+    G = sp.LabeledGraph.from_edges(
+        20, [(i, j) for i in range(1, 21) for j in range(i + 1, 21) if rng.uniform() < 0.35]
+    )
+    N = sp.continuation_realize(G, np.sort(rng.uniform(0.5, 3.0, 10)), rng=rng)
+    assert sp.graph_of_matrix(N) == G
+    assert given and all(given)
+
+
 @pytest.mark.parametrize("G, target", [
     (sp.triangular_path(6).graph, [0.7, 0.7, 1.9]),
     (sp.complete_graph(6), [0.6, 1.3, 1.3]),
