@@ -142,12 +142,12 @@ def _cholesky(N: np.ndarray) -> np.ndarray:
     return L
 
 
-def _require_pd(N) -> tuple[np.ndarray, np.ndarray]:
-    # the one PD gate: the symmetrized N of even order and its Cholesky factor, or a raise
+def _require_pd(N) -> np.ndarray:
+    # the one PD gate: the symmetrized N of even order, or a raise
     N = as_symmetric(N, even=True)
     if not _certified_pd(N):
         raise NotPositiveDefiniteError("matrix is not positive definite")
-    return N, _cholesky(N)
+    return N
 
 
 def _cholesky_form(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +218,7 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
     in pairs, one pair per symplectic eigenvalue.  This keeps the pairing
     exact by construction instead of trusting a nonsymmetric eigensolver.
     """
-    vals = _symplectic_values(*_require_pd(N))
+    vals = _symplectic_values(_require_pd(N))
     return SymplecticSpectrum(
         values=tuple(float(v) for v in vals),
         clusters=cluster_values(vals, cluster_tol),
@@ -251,12 +251,22 @@ def _williamson_columns(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.
     Q.T @ K @ Q = Omega @ diag(d, d), the congruence is
     S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Without L, N is factored
     here, raising NotPositiveDefiniteError on failure.
+
+    Should dgees's QR iteration stall, as it can on K = Omega + O(eps), the
+    block vectors come from the Hermitian i K instead: an eigenvector
+    w = x + i y of i K for the eigenvalue d > 0 has K y = -d x, with x and y
+    orthogonal of norm 1 / sqrt 2.
     """
     L, K = _cholesky_form(N, L)
-    T, _, _, _, Z, _, info = dgees(lambda re, im: 0, K, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("Schur form of K not found")
-    d = T.diagonal(1)[::2]  # block k holds d at (2k, 2k + 1): K z_2k = -d z_2k+1
+    T, _, _, _, Z, _, info = dgees(lambda re, im: 0, K)
+    if info == 0:
+        d = T.diagonal(1)[::2]  # block k holds d at (2k, 2k + 1): K z_2k = -d z_2k+1
+    else:
+        p = N.shape[0] // 2
+        w, W = np.linalg.eigh(1j * K)  # ascending: -d descending, then d ascending
+        d, W = w[p:], np.sqrt(2.0) * W[:, p:]
+        Z = np.empty_like(K)
+        Z[:, 0::2], Z[:, 1::2] = W.imag, W.real
     if not d.all():
         raise np.linalg.LinAlgError("degenerate Schur block in Williamson form")
     u = np.arange(0, N.shape[0], 2) + (d < 0)  # the column u_k with K u_k = -|d_k| v_k
@@ -273,8 +283,8 @@ def williamson(N) -> WilliamsonPair:
     :func:`_williamson_columns`); S.T @ N @ S = diag(d, d) and the symplectic
     identity of S are both checked to 1e-8 relative to max |N|.
     """
-    N, L = _require_pd(N)
-    d, S = _williamson_columns(N, L)
+    N = _require_pd(N)
+    d, S = _williamson_columns(N)
     scale_n = float(np.max(np.abs(N)))
     R = S.T @ N @ S
     R.flat[:: N.shape[0] + 1] -= np.concatenate([d, d])

@@ -266,7 +266,7 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     (singular values above ``rank_tol`` times the largest).  The rows are
     those of ``verification_matrix(N).reduced``, built directly from N.
     """
-    N = _require_pd(N)[0]
+    N = _require_pd(N)
     a, b = _nonedge_pairs(N, zero_tol)
     return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
 
@@ -306,7 +306,7 @@ def has_sssp_nullspace(
     :func:`has_sssp_rank`, raises NotPositiveDefiniteError unless N is
     positive definite.
     """
-    N = _require_pd(N)[0]
+    N = _require_pd(N)
     a, b = _nonedge_pairs(N, zero_tol)
     if a.size == 0:
         return True, None
@@ -352,7 +352,7 @@ def has_sssp_in_direction(
     Like the two oracles, raises NotPositiveDefiniteError unless N is
     positive definite; R is cut at its own default tolerance.
     """
-    N = _require_pd(N)[0]
+    N = _require_pd(N)
     R = as_symmetric(R)
     if not in_tangent_space(N, R):
         raise ValueError("R is not in the tangent space of N")
@@ -379,7 +379,7 @@ def direct_sum_interleave(P, Q) -> np.ndarray:
     but respects the block convention of the symplectic form.  Its symplectic
     spectrum is the union of the two spectra.
     """
-    P, Q = _require_pd(P)[0], _require_pd(Q)[0]
+    P, Q = _require_pd(P), _require_pd(Q)
     m, r = P.shape[0] // 2, Q.shape[0] // 2
     p = m + r
     idx_p = list(range(m)) + list(range(p, p + m))
@@ -411,6 +411,13 @@ def continuation_realize(
     the spectrum, until it matches the target.  Existence near the seed
     holds whenever the seed has the SSSP, e.g. for distinct targets; this
     routine supplies the witness.
+
+    Each step is the minimum-norm Gauss-Newton step lstsq(J, -f) when it
+    fits in a dogleg trust region (least_squares' dogbox with no bounds),
+    so convergence near a solution is quadratic.  There are fewer residuals
+    (p) than free entries (2p + |E|), and least_squares' trf then never
+    takes a Gauss-Newton step: each of its steps ends on the trust-region
+    boundary, and it converges only linearly.
 
     Returns a positive definite matrix with labeled graph exactly G and
     spectrum within ``spectrum_tol`` of the target; raises ArithmeticError
@@ -487,7 +494,7 @@ def continuation_realize(
         if not np.isfinite(residual(x0)).all():
             continue
         sol = scipy.optimize.least_squares(
-            residual, x0, jac=jacobian, method="trf", xtol=1e-15, ftol=1e-15,
+            residual, x0, jac=jacobian, method="dogbox", xtol=1e-15, ftol=1e-15,
             gtol=1e-15, max_nfev=400 * (len(free) + 1),
         )
         runs, nfev, njev = runs + 1, nfev + sol.nfev, njev + sol.njev

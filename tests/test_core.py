@@ -305,6 +305,37 @@ def test_williamson_accepts_diagonal():
     np.testing.assert_allclose(np.asarray(pair.d), d, rtol=1e-10)
 
 
+def _williamson_gates(N, pair):
+    scale = np.max(np.abs(N))
+    assert np.max(np.abs(pair.S.T @ N @ pair.S - pair.diagonal())) <= 1e-8 * scale
+    assert sp.is_symplectic(pair.S, tol=1e-8 * max(1.0, scale))
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("eps", [1e-14, 1.31e-15])
+def test_williamson_of_a_nearly_symplectic_identity(n, eps):
+    # K = Omega + O(eps) can stall dgees's QR iteration, at (1, 2) of I_4 among others
+    for i, j in itertools.combinations(range(n), 2):
+        N = np.eye(n)
+        N[i, j] = N[j, i] = eps
+        pair = sp.williamson(N)
+        np.testing.assert_allclose(np.asarray(pair.d), 1.0, rtol=1e-12)
+        _williamson_gates(N, pair)
+
+
+def test_williamson_without_a_schur_form_matches_the_schur_route(monkeypatch):
+    rng = np.random.default_rng(21)
+    cases = [sp.random_pd(2 * int(rng.integers(1, 8)), rng) for _ in range(40)]
+    cases += [np.diag([1.0, 2.0, 2.0, 1.0, 2.0, 2.0]), sp.shear_square(sp.path_shear_block(3))]
+    expected = [sp.williamson(N).d for N in cases]
+    dgees = core.dgees
+    monkeypatch.setattr(core, "dgees", lambda *a, **k: (*dgees(*a, **k)[:6], 1))
+    for N, d in zip(cases, expected):
+        pair = sp.williamson(N)
+        np.testing.assert_allclose(pair.d, d, rtol=1e-10)
+        _williamson_gates(N, pair)
+
+
 def test_symplectic_pd_examples():
     J = np.ones((3, 3))
     eq = sp.shear_square(J)

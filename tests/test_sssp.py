@@ -437,6 +437,33 @@ def test_continuation_passes_the_exact_jacobian(monkeypatch):
     assert jacs and all(callable(j) for j in jacs)
 
 
+def test_continuation_converges_in_a_few_gauss_newton_steps(monkeypatch):
+    # with fewer residuals than free entries, steps pinned to the trust-region
+    # boundary converge linearly (22 Jacobians here); minimum-norm
+    # Gauss-Newton steps converge quadratically
+    least_squares = scipy.optimize.least_squares
+    runs = []
+
+    def spy(fun, x0, **kwargs):
+        runs.append(least_squares(fun, x0, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    sp.continuation_realize(sp.triangular_path(8).graph, [0.5, 1.0, 2.0, 3.5],
+                            rng=np.random.default_rng(10))
+    assert len(runs) == 1 and runs[0].njev <= 8
+
+
+def test_continuation_raises_arithmetic_error_where_the_schur_form_stalls():
+    # the iterates reach matrices whose symplectic eigenvalues are both 1 to
+    # rounding, where dgees's QR iteration on K can stall; every attempt loses
+    # the edge (3, 4), and that is the documented ArithmeticError
+    G = sp.LabeledGraph.from_edges(4, [(1, 3), (3, 4)])
+    for seed in (0, 1):
+        with pytest.raises(ArithmeticError):
+            sp.continuation_realize(G, [1.0, 1.0], rng=np.random.default_rng(seed))
+
+
 def test_continuation_jacobian_reuses_the_residual_factor(monkeypatch):
     # least_squares asks for the Jacobian at the point it last evaluated, so
     # every Jacobian gets the residual's Cholesky factor of that same N
