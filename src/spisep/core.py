@@ -8,9 +8,9 @@ algorithms are dense.
 Symplectic spectra and Williamson forms share one kernel: the Cholesky
 factor of N = L L.T and the skew-symmetric K = L.T Omega L, which is
 similar to Omega N (Bhatia and Jain, J. Math. Phys. 2015).  The singular
-values of K come in pairs, one pair per symplectic eigenvalue, and its real
-Schur form yields the Williamson congruence, whose columns also give the
-derivative of each simple symplectic eigenvalue.
+values of K come in pairs, one pair per symplectic eigenvalue, and the
+eigenvectors of the Hermitian i K yield the Williamson congruence, whose
+columns also give the derivative of each simple symplectic eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dgesdd, dpotrf, dtrtrs
+from scipy.linalg.lapack import dgesdd, dpotrf, dtrtrs, zheevd
 
 DEFAULT_CLUSTER_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
@@ -35,9 +35,7 @@ def as_symmetric(N, even: bool = False) -> np.ndarray:
     With ``even=True`` the order must also be even (the ambient dimension of
     the symplectic form).
     """
-    N = np.asarray(N, dtype=float)
-    if N.ndim != 2 or N.shape[0] != N.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {N.shape}")
+    N = as_square(N)
     if even and N.shape[0] % 2 != 0:
         raise ValueError(f"matrix order must be even, got {N.shape[0]}")
     return 0.5 * (N + N.T)
@@ -245,43 +243,33 @@ def _williamson_columns(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.
     """The ascending symplectic eigenvalues d of N and a symplectic S with
     S.T @ N @ S = diag(d, d), without checking either.
 
-    Uses the real Schur form of the skew-symmetric K = L.T @ Omega @ L, with
-    N = L @ L.T the Cholesky factorization.  Its 2x2 blocks carry d; with
-    the block vectors reassembled into an orthogonal Q with
-    Q.T @ K @ Q = Omega @ diag(d, d), the congruence is
+    Uses the Hermitian eigendecomposition of i K, with K = L.T @ Omega @ L
+    and N = L @ L.T the Cholesky factorization.  The eigenvalues of i K are
+    -d descending, then d ascending.  An eigenvector w = x + i y for d > 0
+    has K y = -d x; its orthogonality to every other eigenvector and to
+    conj(w) makes the x's and y's orthogonal of norm 1 / sqrt 2, inside a
+    repeated d too.  So Q = sqrt 2 [Im W, Re W] over the eigenvectors W for
+    d is orthogonal with Q.T @ K @ Q = Omega @ diag(d, d), and
     S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Without L, N is factored
     here, raising NotPositiveDefiniteError on failure.
-
-    Should dgees's QR iteration stall, as it can on K = Omega + O(eps), the
-    block vectors come from the Hermitian i K instead: an eigenvector
-    w = x + i y of i K for the eigenvalue d > 0 has K y = -d x, with x and y
-    orthogonal of norm 1 / sqrt 2.
     """
     L, K = _cholesky_form(N, L)
-    T, _, _, _, Z, _, info = dgees(lambda re, im: 0, K)
-    if info == 0:
-        d = T.diagonal(1)[::2]  # block k holds d at (2k, 2k + 1): K z_2k = -d z_2k+1
-    else:
-        p = N.shape[0] // 2
-        w, W = np.linalg.eigh(1j * K)  # ascending: -d descending, then d ascending
-        d, W = w[p:], np.sqrt(2.0) * W[:, p:]
-        Z = np.empty_like(K)
-        Z[:, 0::2], Z[:, 1::2] = W.imag, W.real
-    if not d.all():
-        raise np.linalg.LinAlgError("degenerate Schur block in Williamson form")
-    u = np.arange(0, N.shape[0], 2) + (d < 0)  # the column u_k with K u_k = -|d_k| v_k
-    order = np.argsort(np.abs(d), kind="stable")
-    d, u = np.abs(d[order]), u[order]
+    p = N.shape[0] // 2
+    w, W, info = zheevd(1j * K)
+    d, W = w[p:], np.sqrt(2.0) * W[:, p:]
+    if info != 0 or not d[0] > 0:
+        raise np.linalg.LinAlgError("eigendecomposition of iK failed in Williamson form")
     scale = np.sqrt(np.concatenate([d, d]))
-    return d, dtrtrs(L, Z[:, np.concatenate([u, u ^ 1])], lower=1, trans=1)[0] * scale
+    return d, dtrtrs(L, np.hstack([W.imag, W.real]), lower=1, trans=1)[0] * scale
 
 
 def williamson(N) -> WilliamsonPair:
     """Williamson normal form of a positive definite matrix.
 
-    S and d come from the real Schur form of K = L.T @ Omega @ L (see
-    :func:`_williamson_columns`); S.T @ N @ S = diag(d, d) and the symplectic
-    identity of S are both checked to 1e-8 relative to max |N|.
+    S and d come from the eigenvectors of the Hermitian i K, with
+    K = L.T @ Omega @ L (see :func:`_williamson_columns`); S.T @ N @ S =
+    diag(d, d) and the symplectic identity of S are both checked to 1e-8
+    relative to max |N|.
     """
     N = _require_pd(N)
     d, S = _williamson_columns(N)

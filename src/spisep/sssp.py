@@ -423,7 +423,9 @@ def continuation_realize(
     spectrum within ``spectrum_tol`` of the target; raises ArithmeticError
     if no attempt converges, and NotPositiveDefiniteError up front for a
     seed matrix that is not positive definite.  An attempt whose start lies
-    outside the positive definite cone counts as failed.
+    outside the positive definite cone counts as failed, and so does one
+    that meets the spectrum but fails the PD check or loses an edge; the
+    ArithmeticError counts both kinds.
     """
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
@@ -478,7 +480,7 @@ def continuation_realize(
             raise NotPositiveDefiniteError("seed matrix is not positive definite")
         seed_x = seed_matrix[rows, cols]
     last_err = np.inf
-    runs = nfev = njev = 0
+    runs = nfev = njev = rejected = 0
     for attempt in range(max_attempts):
         if seed_matrix is not None:
             jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
@@ -501,10 +503,13 @@ def continuation_realize(
         N = build(sol.x)
         err = float(np.max(np.abs(sol.fun)))
         last_err = min(last_err, err)
-        if err <= spectrum_tol and is_positive_definite(N) and graph_of_matrix(N) == G:
-            return N
+        if err <= spectrum_tol:
+            if is_positive_definite(N) and graph_of_matrix(N) == G:
+                return N
+            rejected += 1
     raise ArithmeticError(
         f"continuation did not converge on this pattern (best residual {last_err:.3e}"
         f" after {max_attempts} attempts, {max_attempts - runs} of them starting outside"
-        f" the PD cone; least squares made {nfev} residual and {njev} Jacobian evaluations)"
+        f" the PD cone and {rejected} meeting the spectrum but failing the PD check or"
+        f" losing an edge; least squares made {nfev} residual and {njev} Jacobian evaluations)"
     )

@@ -314,7 +314,8 @@ def _williamson_gates(N, pair):
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("eps", [1e-14, 1.31e-15])
 def test_williamson_of_a_nearly_symplectic_identity(n, eps):
-    # K = Omega + O(eps) can stall dgees's QR iteration, at (1, 2) of I_4 among others
+    # K = Omega + O(eps) can stall the QR iteration of a real Schur form, at
+    # (1, 2) of I_4 among others
     for i, j in itertools.combinations(range(n), 2):
         N = np.eye(n)
         N[i, j] = N[j, i] = eps
@@ -323,14 +324,46 @@ def test_williamson_of_a_nearly_symplectic_identity(n, eps):
         _williamson_gates(N, pair)
 
 
-def test_williamson_without_a_schur_form_matches_the_schur_route(monkeypatch):
+def _williamson_schur_reference(N):
+    # the Williamson form from the real Schur form of K, whose 2x2 blocks
+    # carry d, with the block vectors reassembled into S
+    L, K = core._cholesky_form(sp.as_symmetric(N))
+    T, _, _, _, Z, _, info = scipy.linalg.lapack.dgees(lambda re, im: 0, K)
+    assert info == 0
+    d = T.diagonal(1)[::2]  # block k holds d at (2k, 2k + 1): K z_2k = -d z_2k+1
+    assert d.all()
+    u = np.arange(0, N.shape[0], 2) + (d < 0)  # the column u_k with K u_k = -|d_k| v_k
+    order = np.argsort(np.abs(d), kind="stable")
+    d, u = np.abs(d[order]), u[order]
+    scale = np.sqrt(np.concatenate([d, d]))
+    S = scipy.linalg.lapack.dtrtrs(L, Z[:, np.concatenate([u, u ^ 1])], lower=1, trans=1)[0]
+    return d, S * scale
+
+
+def test_williamson_matches_the_schur_reference():
     rng = np.random.default_rng(21)
     cases = [sp.random_pd(2 * int(rng.integers(1, 8)), rng) for _ in range(40)]
     cases += [np.diag([1.0, 2.0, 2.0, 1.0, 2.0, 2.0]), sp.shear_square(sp.path_shear_block(3))]
-    expected = [sp.williamson(N).d for N in cases]
-    dgees = core.dgees
-    monkeypatch.setattr(core, "dgees", lambda *a, **k: (*dgees(*a, **k)[:6], 1))
-    for N, d in zip(cases, expected):
+    for N in cases:
+        d, S = _williamson_schur_reference(N)
+        _williamson_gates(N, sp.WilliamsonPair(S=S, d=tuple(d)))
+        pair = sp.williamson(N)
+        np.testing.assert_allclose(pair.d, d, rtol=1e-10)
+        _williamson_gates(N, pair)
+
+
+def test_williamson_recovers_repeated_values_off_the_diagonal():
+    # N = S.T diag(d, d) S with S symplectic has symplectic eigenvalues d, and
+    # drawing d from three values makes them repeat inside a dense N
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        p = int(rng.integers(2, 7))
+        d = np.sort(rng.choice([0.7, 1.3, 2.0], size=p))
+        A = sp.random_invertible(p, rng)
+        while np.linalg.cond(A) > 1e3:
+            A = sp.random_invertible(p, rng)
+        S = sp.basic_symplectic("block_diag", A) @ sp.basic_symplectic("shear", sp.random_symmetric(p, rng))
+        N = S.T @ np.diag(np.concatenate([d, d])) @ S
         pair = sp.williamson(N)
         np.testing.assert_allclose(pair.d, d, rtol=1e-10)
         _williamson_gates(N, pair)

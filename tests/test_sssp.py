@@ -456,12 +456,20 @@ def test_continuation_converges_in_a_few_gauss_newton_steps(monkeypatch):
 
 def test_continuation_raises_arithmetic_error_where_the_schur_form_stalls():
     # the iterates reach matrices whose symplectic eigenvalues are both 1 to
-    # rounding, where dgees's QR iteration on K can stall; every attempt loses
-    # the edge (3, 4), and that is the documented ArithmeticError
+    # rounding, where the QR iteration of a real Schur form of K can stall;
+    # every attempt loses the edge (3, 4), and that is the documented
+    # ArithmeticError
     G = sp.LabeledGraph.from_edges(4, [(1, 3), (3, 4)])
     for seed in (0, 1):
         with pytest.raises(ArithmeticError):
             sp.continuation_realize(G, [1.0, 1.0], rng=np.random.default_rng(seed))
+
+
+def test_continuation_error_counts_attempts_that_meet_the_spectrum_but_lose_an_edge():
+    # a best residual of 0 alone does not say why the realization failed
+    G = sp.LabeledGraph.from_edges(4, [(1, 3), (3, 4)])
+    with pytest.raises(ArithmeticError, match="8 meeting the spectrum but failing the PD check"):
+        sp.continuation_realize(G, [1.0, 1.0], rng=np.random.default_rng(0))
 
 
 def test_continuation_jacobian_reuses_the_residual_factor(monkeypatch):
