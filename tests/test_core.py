@@ -362,7 +362,8 @@ def test_williamson_recovers_repeated_values_off_the_diagonal():
         A = sp.random_invertible(p, rng)
         while np.linalg.cond(A) > 1e3:
             A = sp.random_invertible(p, rng)
-        S = sp.basic_symplectic("block_diag", A) @ sp.basic_symplectic("shear", sp.random_symmetric(p, rng))
+        B = sp.random_symmetric(p, rng)
+        S = sp.basic_symplectic("block_diag", A) @ sp.basic_symplectic("shear", B)
         N = S.T @ np.diag(np.concatenate([d, d])) @ S
         pair = sp.williamson(N)
         np.testing.assert_allclose(pair.d, d, rtol=1e-10)
