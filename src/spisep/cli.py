@@ -26,7 +26,6 @@ from .constructions import (
 )
 from .core import (
     DEFAULT_CLUSTER_TOL,
-    NotPositiveDefiniteError,
     pattern_tol,
     symplectic_spectrum,
     williamson,
@@ -314,12 +313,13 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, NotPositiveDefiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    # LinAlgError subclasses ValueError, so numerical failures are caught first
     except (NumericalFailure, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # NotPositiveDefiniteError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     _emit(report, compact=args.json)
     return EXIT_OK
 

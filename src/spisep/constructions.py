@@ -15,6 +15,7 @@ from scipy.sparse import csgraph
 
 from .core import (
     _nonzero,
+    _symmetric_block,
     as_symmetric,
     basic_symplectic,
     is_positive_definite,
@@ -25,15 +26,6 @@ from .core import (
 from .graphs import LabeledGraph, complete_graph, graph_of_matrix
 
 _MAX_RESAMPLE = 100
-
-
-def _check_symmetric_block(B) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise ValueError("block must be square")
-    if np.max(np.abs(B - B.T)) > 1e-10 * max(1.0, float(np.max(np.abs(B)))):
-        raise ValueError("block must be symmetric")
-    return 0.5 * (B + B.T)
 
 
 def _check_targets(target) -> np.ndarray:
@@ -53,7 +45,7 @@ def dopico_johnson(N11, W) -> np.ndarray:
     N11 = as_symmetric(N11)
     if not is_positive_definite(N11):
         raise ValueError("N11 must be positive definite")
-    W = _check_symmetric_block(W)
+    W = _symmetric_block(W)
     if W.shape != N11.shape:
         raise ValueError("N11 and W must have the same order")
     N12 = N11 @ W
@@ -68,8 +60,9 @@ def shear_square(B) -> np.ndarray:
     iff B[i, j] != 0 and {p+i, p+j} iff columns i and j of B share a nonzero
     row.
     """
-    B = _check_symmetric_block(B)
-    return realize_shear(B, np.ones(B.shape[0]))
+    B = _symmetric_block(B)
+    I = np.eye(B.shape[0])
+    return as_symmetric(np.block([[I, B], [B, I + B @ B]]))
 
 
 def realize_shear(B, target) -> np.ndarray:
@@ -80,7 +73,7 @@ def realize_shear(B, target) -> np.ndarray:
     spectrum equal to the target (repeats allowed) while the zero pattern is
     independent of the target.
     """
-    B = _check_symmetric_block(B)
+    B = _symmetric_block(B)
     t = _check_targets(target)
     if t.size != B.shape[0]:
         raise ValueError("need one target per row of B")

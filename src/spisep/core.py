@@ -5,12 +5,12 @@ square array-like; :func:`as_symmetric` is the canonical constructor and
 symmetrizes exactly.  Orders are small (a few dozen at most), so all
 algorithms are dense.
 
-Symplectic spectra and Williamson forms share one kernel: the Cholesky
-factor of N = L L.T and the skew-symmetric K = L.T Omega L, which is
-similar to Omega N (Bhatia and Jain, J. Math. Phys. 2015).  The singular
-values of K come in pairs, one pair per symplectic eigenvalue, and the
-eigenvectors of the Hermitian i K yield the Williamson congruence, whose
-columns also give the derivative of each simple symplectic eigenvalue.
+Symplectic spectra and Williamson forms come from one eigensolve: the
+Cholesky factor of N = L L.T gives the skew-symmetric K = L.T Omega L,
+which is similar to Omega N (Bhatia and Jain, J. Math. Phys. 2015).  The
+positive eigenvalues of the Hermitian i K are the symplectic eigenvalues,
+and its eigenvectors yield the Williamson congruence, whose columns also
+give the derivative of each simple symplectic eigenvalue.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd, dpotrf, dtrtrs, zheevd
+from scipy.linalg.lapack import dpotrf, dtrtrs, zheevd
 
 DEFAULT_CLUSTER_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
@@ -46,6 +46,14 @@ def as_square(S) -> np.ndarray:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     return S
+
+
+def _symmetric_block(B) -> np.ndarray:
+    # the one symmetric-block check: B - B.T within 1e-10 max(1, max |B|), then symmetrized
+    B = as_square(B)
+    if np.max(np.abs(B - B.T)) > 1e-10 * max(1.0, float(np.max(np.abs(B)))):
+        raise ValueError("block must be symmetric")
+    return 0.5 * (B + B.T)
 
 
 @lru_cache(maxsize=None)
@@ -148,24 +156,17 @@ def _require_pd(N) -> np.ndarray:
     return N
 
 
-def _cholesky_form(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _cholesky_form(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Cholesky factor L of N = L L.T and K = L.T Omega L.
 
     K is exactly skew-symmetric and similar to Omega N, so its eigenvalues
-    are +-i d for the symplectic eigenvalues d of N.  Without L, N is
-    factored here, raising NotPositiveDefiniteError on failure.
+    are +-i d for the symplectic eigenvalues d of N.  Raises
+    NotPositiveDefiniteError when N cannot be factored.
     """
-    if L is None:
-        L = _cholesky(N)
+    L = _cholesky(N)
     p = N.shape[0] // 2
     M = L[:p].T @ L[p:]  # Omega L stacks L[p:] over -L[:p]
     return L, M - M.T
-
-
-def _symplectic_values(N: np.ndarray, L: np.ndarray | None = None) -> np.ndarray:
-    # the paired singular values of K, ascending; factors N only without L
-    s = dgesdd(_cholesky_form(N, L)[1], compute_uv=0, overwrite_a=1)[1]  # descending, in pairs
-    return np.sort(0.5 * (s[0::2] + s[1::2]))
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,15 @@ class SymplecticSpectrum:
     """
 
     values: tuple[float, ...]
-    clusters: tuple[tuple[float, int], ...]
     cluster_tol: float
 
     @property
     def p(self) -> int:
         return len(self.values)
+
+    @property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        return cluster_values(self.values, self.cluster_tol)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
@@ -212,16 +216,14 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
 
     These are the moduli of the (purely imaginary) eigenvalues of Omega @ N.
     Computed from the Cholesky factor N = L @ L.T: the skew-symmetric
-    K = L.T @ Omega @ L is similar to Omega @ N, so its singular values come
-    in pairs, one pair per symplectic eigenvalue.  This keeps the pairing
-    exact by construction instead of trusting a nonsymmetric eigensolver.
+    K = L.T @ Omega @ L is similar to Omega @ N, so the Hermitian i K has
+    eigenvalues +-d, and its p positive ones are the symplectic eigenvalues.
+    This keeps the pairing exact by construction instead of trusting a
+    nonsymmetric eigensolver, and it is the eigensolve of :func:`williamson`,
+    so the values equal ``williamson(N).d`` bit for bit.
     """
-    vals = _symplectic_values(_require_pd(N))
-    return SymplecticSpectrum(
-        values=tuple(float(v) for v in vals),
-        clusters=cluster_values(vals, cluster_tol),
-        cluster_tol=cluster_tol,
-    )
+    d = _williamson_columns(_require_pd(N))[0]
+    return SymplecticSpectrum(values=tuple(float(v) for v in d), cluster_tol=cluster_tol)
 
 
 @dataclass(frozen=True)
@@ -239,7 +241,7 @@ class WilliamsonPair:
         return np.diag(dd)
 
 
-def _williamson_columns(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _williamson_columns(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ascending symplectic eigenvalues d of N and a symplectic S with
     S.T @ N @ S = diag(d, d), without checking either.
 
@@ -250,10 +252,10 @@ def _williamson_columns(N: np.ndarray, L: np.ndarray | None = None) -> tuple[np.
     conj(w) makes the x's and y's orthogonal of norm 1 / sqrt 2, inside a
     repeated d too.  So Q = sqrt 2 [Im W, Re W] over the eigenvectors W for
     d is orthogonal with Q.T @ K @ Q = Omega @ diag(d, d), and
-    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Without L, N is factored
-    here, raising NotPositiveDefiniteError on failure.
+    S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Raises
+    NotPositiveDefiniteError when N cannot be factored.
     """
-    L, K = _cholesky_form(N, L)
+    L, K = _cholesky_form(N)
     p = N.shape[0] // 2
     w, W, info = zheevd(1j * K)
     d, W = w[p:], np.sqrt(2.0) * W[:, p:]
@@ -338,12 +340,10 @@ def basic_symplectic(kind: str, arg=None, p: int | None = None) -> np.ndarray:
         out[m:, m:] = Ainv_t
         return out
     if kind == "shear":
-        B = as_square(arg)
-        if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, float(np.max(np.abs(B)))):
-            raise ValueError("shear block must be symmetric")
+        B = _symmetric_block(arg)
         m = B.shape[0]
         out = np.eye(2 * m)
-        out[:m, m:] = 0.5 * (B + B.T)
+        out[:m, m:] = B
         return out
     raise ValueError(f"unknown basic symplectic kind {kind!r}")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -201,24 +201,16 @@ def coupling_closure_graph(CG: CoupledGraph) -> LabeledGraph:
     return CG.graph.with_edges(CG.coupling.pairs)
 
 
-_CACHED_N = 12  # the default guard; larger enumerations are built afresh and not kept
+_ENUMERATION_GUARD = 12
 
 
-def enumerate_couplings(n: int, max_n: int = _CACHED_N) -> list[Coupling]:
+def enumerate_couplings(n: int, max_n: int = _ENUMERATION_GUARD) -> list[Coupling]:
     """All (n-1)!! perfect pairings of {1..n}.  Guarded against blowup."""
     if n % 2 != 0:
         raise ValueError("n must be even")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the enumeration guard {max_n}; raise max_n to override")
-    return list(_couplings(n) if n <= _CACHED_N else _pairings(n))
 
-
-@lru_cache(maxsize=8)
-def _couplings(n: int) -> tuple[Coupling, ...]:
-    return tuple(_pairings(n))
-
-
-def _pairings(n: int):
     def rec(rest: tuple[int, ...]):
         if not rest:
             yield ()
@@ -231,7 +223,7 @@ def _pairings(n: int):
                 yield ((a, b),) + more
 
     # rec yields (low, high) pairs sorted by their low ends, the stored form
-    return (Coupling(ps) for ps in rec(tuple(range(1, n + 1))))
+    return [Coupling(ps) for ps in rec(tuple(range(1, n + 1)))]
 
 
 def representative_labelings(CG: CoupledGraph, max_p: int = 5) -> list[tuple[int, ...]]:

@@ -21,10 +21,8 @@ from scipy.linalg.lapack import dpotrf
 from .core import (
     _EPS,
     NotPositiveDefiniteError,
-    _cholesky,
     _nonzero,
     _require_pd,
-    _symplectic_values,
     _williamson_columns,
     as_symmetric,
     is_hamiltonian,
@@ -447,26 +445,26 @@ def continuation_realize(
         N[rows, cols] = N[cols, rows] = x
         return N
 
-    factored = [None, None]  # the last x the residual factored, and its Cholesky factor
+    solved = [None, None]  # the last x the residual solved, and its Williamson factor
 
     def residual(x: np.ndarray) -> np.ndarray:
-        # a trial point outside the PD cone is a non-finite step, which the
-        # trust region rejects and shrinks from as it does a poor one
-        N = build(x)
+        # a trial point outside the PD cone, or one whose eigensolve fails, is a
+        # non-finite step, which the trust region rejects and shrinks from as it
+        # does a poor one; so an unconverged run ends only in ArithmeticError
         try:
-            factored[:] = x.copy(), _cholesky(N)
-        except NotPositiveDefiniteError:
+            d, S = _williamson_columns(build(x))
+        except (NotPositiveDefiniteError, np.linalg.LinAlgError):
             return np.full(p, np.inf)
-        return _symplectic_values(N, factored[1]) - target
+        solved[:] = x.copy(), S
+        return d - target
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         # d d_k = (u_k.T dN u_k + v_k.T dN v_k) / 2 for a simple eigenvalue
         # d_k, with u_k, v_k columns k and k + p of the Williamson factor
         # (Bhatia and Jain, J. Math. Phys. 2015); the trust region asks for
         # it only at accepted points, which lie inside the PD cone and were
-        # factored by the residual just before
-        L = factored[1] if np.array_equal(x, factored[0]) else None
-        S = _williamson_columns(build(x), L)[1]
+        # solved by the residual just before
+        S = solved[1] if np.array_equal(x, solved[0]) else _williamson_columns(build(x))[1]
         U, V = S[:, :p], S[:, p:]
         return ((U[rows] * U[cols] + V[rows] * V[cols]) * half[:, None]).T
 

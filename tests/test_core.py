@@ -52,6 +52,23 @@ def test_shear_with_nonsymmetric_block_rejected():
     assert not sp.is_symplectic(S)
 
 
+@pytest.mark.parametrize("build", [
+    lambda B: sp.basic_symplectic("shear", B),
+    lambda B: sp.dopico_johnson(np.eye(2), B),
+    sp.shear_square,
+    lambda B: sp.realize_shear(B, [1.0, 2.0]),
+])
+def test_symmetric_block_threshold_is_shared(build):
+    # one rule: |B - B.T| within 1e-10 max(1, max |B|), then symmetrized
+    for asym, accepted in ((1e-11, True), (1e-9, False)):
+        B = np.array([[1.0, 0.5], [0.5 + asym, 2.0]])
+        if accepted:
+            assert np.isfinite(build(B)).all()
+        else:
+            with pytest.raises(ValueError, match="block must be symmetric"):
+                build(B)
+
+
 def test_block_diag_requires_invertible():
     with pytest.raises(ValueError):
         sp.basic_symplectic("block_diag", np.zeros((2, 2)))
@@ -144,6 +161,35 @@ def test_spectrum_and_williamson_match_eigenvalue_moduli():
         ref = 0.5 * (w[0::2] + w[1::2])
         np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), ref, rtol=1e-10)
         np.testing.assert_allclose(np.asarray(sp.williamson(N).d), ref, rtol=1e-10)
+
+
+def _spectrum_corpus():
+    # 2000 seeded generic PD matrices at p = 1..7, then the shear squares p = 2..8
+    rng = np.random.default_rng(2000)
+    cases = [sp.random_pd(2 * int(rng.integers(1, 8)), rng) for _ in range(2000)]
+    for p in range(2, 9):
+        cases += [sp.shear_square(sp.path_shear_block(p)), sp.shear_square(np.ones((p, p)))]
+    return cases
+
+
+def test_spectrum_is_the_williamson_eigensolve():
+    for N in _spectrum_corpus():
+        assert sp.symplectic_spectrum(N).values == sp.williamson(N).d
+
+
+def _spectrum_dgesdd_reference(N):
+    """The former spectrum route: the paired singular values of K by LAPACK's
+    dgesdd, each pair averaged, sorted ascending."""
+    K = core._cholesky_form(sp.as_symmetric(N))[1]
+    s = scipy.linalg.lapack.dgesdd(K, compute_uv=0)[1]  # descending, in pairs
+    return np.sort(0.5 * (s[0::2] + s[1::2]))
+
+
+def test_spectrum_matches_the_dgesdd_reference():
+    for N in _spectrum_corpus():
+        np.testing.assert_allclose(
+            sp.symplectic_spectrum(N).as_array(), _spectrum_dgesdd_reference(N), rtol=1e-13
+        )
 
 
 def test_each_public_call_factors_n_once(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spisep as sp
+from spisep import cli
 from spisep.cli import _CONSTRUCT_BUILDERS, main
 from spisep.io import ParseError, load_graph, load_matrix, save_graph, save_matrix
 
@@ -164,6 +165,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["spectrum", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("williamson", "williamson"), ("spectrum", "symplectic_spectrum"),
+])
+def test_cli_numerical_failure_exits_4(tmp_path, capsys, monkeypatch, command, kernel):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure, not a precondition
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Williamson reconstruction residual too large")
+
+    monkeypatch.setattr(cli, kernel, fail)
+    path = _write_matrix(tmp_path, "n.json", np.eye(4))
+    assert main([command, path]) == 4
+    assert "residual too large" in capsys.readouterr().err
 
 
 def test_cli_williamson(tmp_path, capsys):

@@ -472,24 +472,38 @@ def test_continuation_error_counts_attempts_that_meet_the_spectrum_but_lose_an_e
         sp.continuation_realize(G, [1.0, 1.0], rng=np.random.default_rng(0))
 
 
-def test_continuation_jacobian_reuses_the_residual_factor(monkeypatch):
+def test_continuation_solves_once_per_residual_evaluation(monkeypatch):
     # least_squares asks for the Jacobian at the point it last evaluated, so
-    # every Jacobian gets the residual's Cholesky factor of that same N
-    williamson_columns = sssp._williamson_columns
-    given = []
+    # every Jacobian reads the Williamson factor the residual computed there
+    williamson_columns, least_squares = sssp._williamson_columns, scipy.optimize.least_squares
+    solves, evaluations = [], []
 
-    def spy(N, L=None):
-        given.append(L is not None and np.allclose(L @ L.T, N, rtol=0.0, atol=1e-12))
-        return williamson_columns(N, L)
+    def solve_spy(N):
+        solves.append(N)
+        return williamson_columns(N)
 
-    monkeypatch.setattr(sssp, "_williamson_columns", spy)
+    def least_squares_spy(fun, x0, jac, **kwargs):
+        def counted(x):
+            evaluations.append("f")
+            return fun(x)
+
+        def counted_jac(x):
+            evaluations.append("J")
+            return jac(x)
+
+        evaluations.append("f")  # the attempt's start was checked by one residual evaluation
+        return least_squares(counted, x0, jac=counted_jac, **kwargs)
+
+    monkeypatch.setattr(sssp, "_williamson_columns", solve_spy)
+    monkeypatch.setattr(sssp.scipy.optimize, "least_squares", least_squares_spy)
     rng = np.random.default_rng(5)
     G = sp.LabeledGraph.from_edges(
         20, [(i, j) for i in range(1, 21) for j in range(i + 1, 21) if rng.uniform() < 0.35]
     )
     N = sp.continuation_realize(G, np.sort(rng.uniform(0.5, 3.0, 10)), rng=rng)
     assert sp.graph_of_matrix(N) == G
-    assert given and all(given)
+    assert "J" in evaluations
+    assert len(solves) == evaluations.count("f")
 
 
 @pytest.mark.parametrize("G, target", [
