@@ -55,7 +55,6 @@ from .graphs import (
     triangular_path,
 )
 from .sssp import (
-    SpBasisElement,
     VerificationMatrix,
     continuation_realize,
     direct_sum_interleave,

@@ -249,6 +249,8 @@ def _check_simple(entry: CatalogueEntry, kind: str, evidence_samples: int, rng) 
 
 def build_order4_catalogue(seed: int = 0, evidence_samples: int = 1000) -> list[CatalogueEntry]:
     """Build and machine-check all 33 verdicts (11 graphs x 3 couplings)."""
+    if evidence_samples < 1:
+        raise ValueError(f"evidence_samples must be at least 1, got {evidence_samples}")
     rng = np.random.default_rng(seed)
     smear = random_smear([1.0, 1.0], seed=seed + 1, mode="complete")
     entries: list[CatalogueEntry] = []

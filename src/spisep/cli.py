@@ -180,7 +180,6 @@ def cmd_construct(args) -> dict:
     N = _CONSTRUCT_BUILDERS[args.family](p, targets, seed)
     if args.out:
         save_matrix(args.out, N, fmt=args.format)
-    spec = symplectic_spectrum(N, cluster_tol=args.tol_cluster)
     return {
         "command": "construct",
         "family": args.family,
@@ -189,9 +188,8 @@ def cmd_construct(args) -> dict:
         "seed": seed,
         "out": args.out,
         "order": N.shape[0],
-        "spectrum": list(spec.values),
+        "spectrum": list(symplectic_spectrum(N).values),
         "entries": None if args.out else _matrix_list(N),
-        "tolerances": {"cluster_tol": args.tol_cluster},
     }
 
 
@@ -284,8 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ss.add_argument("matrix")
     ss.add_argument("--direction", help="tangent direction matrix file")
 
-    co = command("construct", cmd_construct, "build a realization matrix",
-                 "--tol-cluster", "--seed")
+    co = command("construct", cmd_construct, "build a realization matrix", "--seed")
     co.add_argument("family", choices=_CONSTRUCT_BUILDERS)
     co.add_argument("--size", type=int, required=True, help="block size p (matrix order 2p)")
     co.add_argument("--targets", help="comma separated positive target spectrum")

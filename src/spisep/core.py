@@ -222,7 +222,7 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
     nonsymmetric eigensolver, and it is the eigensolve of :func:`williamson`,
     so the values equal ``williamson(N).d`` bit for bit.
     """
-    d = _williamson_columns(_require_pd(N))[0]
+    d = _williamson_eigen(_require_pd(N))[1]
     return SymplecticSpectrum(values=tuple(float(v) for v in d), cluster_tol=cluster_tol)
 
 
@@ -241,26 +241,35 @@ class WilliamsonPair:
         return np.diag(dd)
 
 
+def _williamson_eigen(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Cholesky factor L of N, the ascending symplectic eigenvalues d of
+    N and the eigenvectors W of i K for d, with K = L.T @ Omega @ L.
+
+    The eigenvalues of the Hermitian i K are -d descending, then d
+    ascending.  Raises NotPositiveDefiniteError when N cannot be factored.
+    """
+    L, K = _cholesky_form(N)
+    p = N.shape[0] // 2
+    w, W, info = zheevd(1j * K)
+    if info != 0 or not w[p] > 0:
+        raise np.linalg.LinAlgError("eigendecomposition of iK failed in Williamson form")
+    return L, w[p:], W[:, p:]
+
+
 def _williamson_columns(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ascending symplectic eigenvalues d of N and a symplectic S with
     S.T @ N @ S = diag(d, d), without checking either.
 
-    Uses the Hermitian eigendecomposition of i K, with K = L.T @ Omega @ L
-    and N = L @ L.T the Cholesky factorization.  The eigenvalues of i K are
-    -d descending, then d ascending.  An eigenvector w = x + i y for d > 0
-    has K y = -d x; its orthogonality to every other eigenvector and to
-    conj(w) makes the x's and y's orthogonal of norm 1 / sqrt 2, inside a
+    From :func:`_williamson_eigen`: an eigenvector w = x + i y of i K for
+    d > 0 has K y = -d x; its orthogonality to every other eigenvector and
+    to conj(w) makes the x's and y's orthogonal of norm 1 / sqrt 2, inside a
     repeated d too.  So Q = sqrt 2 [Im W, Re W] over the eigenvectors W for
     d is orthogonal with Q.T @ K @ Q = Omega @ diag(d, d), and
     S = inv(L.T) @ Q @ diag(sqrt(d), sqrt(d)).  Raises
     NotPositiveDefiniteError when N cannot be factored.
     """
-    L, K = _cholesky_form(N)
-    p = N.shape[0] // 2
-    w, W, info = zheevd(1j * K)
-    d, W = w[p:], np.sqrt(2.0) * W[:, p:]
-    if info != 0 or not d[0] > 0:
-        raise np.linalg.LinAlgError("eigendecomposition of iK failed in Williamson form")
+    L, d, W = _williamson_eigen(N)
+    W = np.sqrt(2.0) * W
     scale = np.sqrt(np.concatenate([d, d]))
     return d, dtrtrs(L, np.hstack([W.imag, W.real]), lower=1, trans=1)[0] * scale
 
@@ -318,17 +327,12 @@ def symplectic_pd_inverse_identity(N, tol: float = 1e-8) -> bool:
     return float(np.max(np.abs(Ninv - blocked))) <= tol * scale
 
 
-def basic_symplectic(kind: str, arg=None, p: int | None = None) -> np.ndarray:
-    """One of the three basic symplectic matrices.
+def basic_symplectic(kind: str, arg) -> np.ndarray:
+    """A basic symplectic matrix other than Omega, which :func:`omega` builds.
 
-    kind="omega" with order parameter p; kind="block_diag" builds
-    diag(A, inv(A).T) from an invertible A; kind="shear" builds
-    [[I, B], [O, I]] from a symmetric B.
+    kind="block_diag" builds diag(A, inv(A).T) from an invertible A;
+    kind="shear" builds [[I, B], [O, I]] from a symmetric B.
     """
-    if kind == "omega":
-        if p is None:
-            raise ValueError("kind='omega' requires p")
-        return omega(p).copy()
     if kind == "block_diag":
         A = as_square(arg)
         if abs(np.linalg.det(A)) < 1e-300:

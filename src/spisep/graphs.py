@@ -202,6 +202,7 @@ def coupling_closure_graph(CG: CoupledGraph) -> LabeledGraph:
 
 
 _ENUMERATION_GUARD = 12
+_LABELING_GUARD = 5
 
 
 def enumerate_couplings(n: int, max_n: int = _ENUMERATION_GUARD) -> list[Coupling]:
@@ -226,14 +227,14 @@ def enumerate_couplings(n: int, max_n: int = _ENUMERATION_GUARD) -> list[Couplin
     return [Coupling(ps) for ps in rec(tuple(range(1, n + 1)))]
 
 
-def representative_labelings(CG: CoupledGraph, max_p: int = 5) -> list[tuple[int, ...]]:
+def representative_labelings(CG: CoupledGraph) -> list[tuple[int, ...]]:
     """All 2^p * p! labelings that assign the label pair {k, k+p} to each coupled pair.
 
     Each labeling L is returned as a tuple with L[name - 1] = label.
     """
     p = CG.p
-    if p > max_p:
-        raise ValueError(f"p={p} exceeds the enumeration guard {max_p}; raise max_p to override")
+    if p > _LABELING_GUARD:
+        raise ValueError(f"p={p} exceeds the enumeration guard {_LABELING_GUARD}")
     pairs = CG.coupling.pairs
     out = []
     for sigma in itertools.permutations(range(1, p + 1)):

@@ -29,19 +29,9 @@ from .core import (
     is_positive_definite,
     omega,
 )
-from .core import pattern_tol  # noqa: F401  (the default zero_tol, beside _nonedge_pairs)
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SpBasisElement:
-    """One element of the standard ordered basis of the 2p x 2p Hamiltonian matrices."""
-
-    matrix: np.ndarray
-    index: int
-    label: str
 
 
 def _basis_terms(p: int) -> list[tuple[tuple[int, int, float], tuple[int, int, float]]]:
@@ -59,25 +49,24 @@ def _basis_terms(p: int) -> list[tuple[tuple[int, int, float], tuple[int, int, f
     return terms
 
 
-def sp_basis(p: int) -> list[SpBasisElement]:
+def sp_basis(p: int) -> list[np.ndarray]:
     """Standard ordered basis of the Lie algebra of 2p x 2p Hamiltonian matrices.
 
     2p^2 + p elements: first {E_{i,j+p} + E_{j,i+p} : i <= j}, then
     {E_{i+p,j} + E_{j+p,i} : i <= j} (each ordered diagonal-first, then by
     superdiagonal), then {E_{i,j} - E_{j+p,i+p}} with each superdiagonal
-    followed by the matching subdiagonal.  The element matrices are read-only.
+    followed by the matching subdiagonal.  The matrices are read-only.
     """
     if p < 1:
         raise ValueError("p must be a positive integer")
     p = int(p)
-    elems: list[SpBasisElement] = []
-    for k, ((r1, c1, v1), (r2, c2, v2)) in enumerate(_basis_terms(p)):
+    elems = []
+    for (r1, c1, v1), (r2, c2, v2) in _basis_terms(p):
         M = np.zeros((2 * p, 2 * p))
         M[r1 - 1, c1 - 1] += v1
         M[r2 - 1, c2 - 1] += v2
         M.setflags(write=False)
-        sign = "+" if v2 > 0 else "-"
-        elems.append(SpBasisElement(M, k, f"E{r1},{c1}{sign}E{r2},{c2}"))
+        elems.append(M)
     return elems
 
 
@@ -141,7 +130,7 @@ def verification_matrix_full(N) -> VerificationMatrix:
     """The (2p^2+p) x (2p^2+p) matrix whose columns are vec_triangle(M.T N + N M)."""
     N = as_symmetric(N, even=True)
     p = N.shape[0] // 2
-    cols = [vec_triangle(e.matrix.T @ N + N @ e.matrix) for e in sp_basis(p)]
+    cols = [vec_triangle(M.T @ N + N @ M) for M in sp_basis(p)]
     return VerificationMatrix(full=np.column_stack(cols))
 
 
@@ -332,6 +321,8 @@ def in_tangent_space(N, R) -> bool:
     residual must be at most 1e-8 relative to max(1, ||vec_triangle(R)||)."""
     N = as_symmetric(N, even=True)
     R = as_symmetric(R)
+    if R.shape != N.shape:
+        raise ValueError("R must match the order of N")
     b = vec_triangle(R)
     if not np.any(b):
         return True
@@ -392,14 +383,18 @@ def direct_sum_interleave(P, Q) -> np.ndarray:
 # numerical continuation onto a pattern
 # ---------------------------------------------------------------------------
 
+# each start puts entries of size up to _EDGE_SCALE * min(target) on the edges
+# (on every free entry, as jitter, for a seed matrix); at most _MAX_ATTEMPTS starts
+_EDGE_SCALE = 1e-2
+_MAX_ATTEMPTS = 8
+
+
 def continuation_realize(
     G: LabeledGraph,
     target,
     rng: np.random.Generator | None = None,
     seed_matrix=None,
-    edge_scale: float = 1e-2,
     spectrum_tol: float = 1e-6,
-    max_attempts: int = 8,
 ) -> np.ndarray:
     """Realize a target symplectic spectrum on a pattern by local optimization.
 
@@ -469,7 +464,7 @@ def continuation_realize(
         return ((U[rows] * U[cols] + V[rows] * V[cols]) * half[:, None]).T
 
     base_diag = np.concatenate([target, target])
-    scale = edge_scale * float(np.min(target))
+    scale = _EDGE_SCALE * float(np.min(target))
     if seed_matrix is not None:
         seed_matrix = np.asarray(seed_matrix, dtype=float)
         if seed_matrix.shape != (G.order, G.order):
@@ -479,7 +474,7 @@ def continuation_realize(
         seed_x = seed_matrix[rows, cols]
     last_err = np.inf
     runs = nfev = njev = rejected = 0
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         if seed_matrix is not None:
             jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
             x0 = seed_x + jitter
@@ -507,7 +502,7 @@ def continuation_realize(
             rejected += 1
     raise ArithmeticError(
         f"continuation did not converge on this pattern (best residual {last_err:.3e}"
-        f" after {max_attempts} attempts, {max_attempts - runs} of them starting outside"
+        f" after {_MAX_ATTEMPTS} attempts, {_MAX_ATTEMPTS - runs} of them starting outside"
         f" the PD cone and {rejected} meeting the spectrum but failing the PD check or"
         f" losing an edge; least squares made {nfev} residual and {njev} Jacobian evaluations)"
     )

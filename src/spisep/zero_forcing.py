@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import DEFAULT_CLUSTER_TOL, symplectic_spectrum
+from .core import symplectic_spectrum
 from .graphs import (
     CoupledGraph,
     LabeledGraph,
@@ -217,13 +217,7 @@ class MultiplicityBoundReport:
         return self.max_multiplicity <= self.zc
 
 
-def msp_upper_bound(
-    N,
-    CG: CoupledGraph,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    max_n: int = DEFAULT_MAX_N,
-    max_p: int = 5,
-) -> MultiplicityBoundReport:
+def msp_upper_bound(N, CG: CoupledGraph) -> MultiplicityBoundReport:
     """Check max symplectic multiplicity of N against the coupled forcing number.
 
     N's labeled graph must be one of the representative labelings of the
@@ -233,13 +227,11 @@ def msp_upper_bound(
     GN = graph_of_matrix(N)
     if GN.order != CG.graph.order:
         raise ValueError("matrix order does not match the coupled graph")
-    if not any(
-        apply_labeling(CG, L) == GN for L in representative_labelings(CG, max_p=max_p)
-    ):
+    if not any(apply_labeling(CG, L) == GN for L in representative_labelings(CG)):
         raise ValueError("the pattern of N is not a representative labeling of CG")
-    spec = symplectic_spectrum(N, cluster_tol=cluster_tol)
+    spec = symplectic_spectrum(N)
     return MultiplicityBoundReport(
         spectrum=spec.values,
         max_multiplicity=spec.max_multiplicity,
-        zc=zc_number(CG, max_n=max_n),
+        zc=zc_number(CG),
     )

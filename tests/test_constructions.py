@@ -374,3 +374,9 @@ def test_householder_all_nonzero():
         np.testing.assert_allclose(B @ B, np.eye(p), atol=1e-12)
         np.testing.assert_allclose(B, B.T, atol=1e-15)
         assert np.min(np.abs(B)) > 1e-8
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_catalogue_rejects_fewer_than_one_evidence_sample(samples):
+    with pytest.raises(ValueError, match="evidence_samples must be at least 1"):
+        sp.build_order4_catalogue(evidence_samples=samples)

@@ -132,6 +132,7 @@ def test_cli_tol_zero_decides_structural_zeros(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["zc", "g.json", "--seed", "1"],
     ["williamson", "N.json", "--tol-cluster", "1e-3"],
+    ["construct", "tripath", "--size", "2", "--tol-cluster", "1e-3"],
     ["spectrum", "N.json", "--tol-rank", "1e-3"],
 ])
 def test_cli_rejects_options_a_subcommand_does_not_read(argv, capsys):
@@ -165,6 +166,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["spectrum", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sssp", "N.json", "--direction", "R.json"], "R must match the order of N"),
+    (["catalogue-order4", "--samples", "0"], "evidence_samples must be at least 1"),
+    (["catalogue-order4", "--samples", "-3"], "evidence_samples must be at least 1"),
+])
+def test_cli_violated_preconditions_exit_3(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_matrix("N.json", sp.random_pd(6, np.random.default_rng(0)))
+    save_matrix("R.json", np.eye(4))
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, kernel", [
@@ -213,7 +227,7 @@ def test_cli_sssp_with_witness_and_direction(tmp_path, capsys):
 def test_cli_sssp_direction_reports_the_pattern_its_verdict_used(tmp_path, capsys):
     N = sp.shear_square(sp.path_shear_block(3))
     rng = np.random.default_rng(0)
-    R = sp.tangent_element(N, sum(rng.standard_normal() * e.matrix for e in sp.sp_basis(3)))
+    R = sp.tangent_element(N, sum(rng.standard_normal() * M for M in sp.sp_basis(3)))
     off = np.abs(R[np.triu_indices(6, 1)])
     # just above R's smallest off-diagonal entry, which sits on a non-edge of N
     tol_zero = 1.01 * float(off.min())
@@ -278,6 +292,7 @@ def test_cli_construct_every_family(family, targets, capsys):
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(report["spectrum"], targets or [1.0] * 3, rtol=1e-8)
+    assert "tolerances" not in report
 
 
 def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spisep as sp
-from spisep import sssp
+from spisep import core, sssp
 
 # split direct sum of the two tridiagonal 3x3 blocks used in the liberation example
 A_TRI = np.array([[2.0, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -41,9 +41,9 @@ def test_basis_size_and_order_p1():
     basis = sp.sp_basis(1)
     assert len(basis) == 3
     E = lambda i, j: np.eye(2)[[i - 1]].T @ np.eye(2)[[j - 1]]
-    np.testing.assert_array_equal(basis[0].matrix, 2 * E(1, 2))
-    np.testing.assert_array_equal(basis[1].matrix, 2 * E(2, 1))
-    np.testing.assert_array_equal(basis[2].matrix, E(1, 1) - E(2, 2))
+    np.testing.assert_array_equal(basis[0], 2 * E(1, 2))
+    np.testing.assert_array_equal(basis[1], 2 * E(2, 1))
+    np.testing.assert_array_equal(basis[2], E(1, 1) - E(2, 2))
 
 
 def test_basis_order_p2_matches_verification_columns():
@@ -61,7 +61,7 @@ def test_basis_order_p2_matches_verification_columns():
     basis = sp.sp_basis(2)
     assert len(basis) == 10
     for elem, want in zip(basis, expected):
-        np.testing.assert_array_equal(elem.matrix, want)
+        np.testing.assert_array_equal(elem, want)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -69,8 +69,8 @@ def test_basis_elements_are_hamiltonian(p):
     basis = sp.sp_basis(p)
     assert len(basis) == 2 * p * p + p
     for elem in basis:
-        assert sp.is_hamiltonian(elem.matrix)
-        assert not elem.matrix.flags.writeable
+        assert sp.is_hamiltonian(elem)
+        assert not elem.flags.writeable
 
 
 def test_vec_triangle_identity_and_order():
@@ -240,6 +240,13 @@ def test_direction_requires_tangent_vector():
         sp.has_sssp_in_direction(N_SPLIT, np.linalg.inv(N_SPLIT))
 
 
+def test_direction_rejects_r_of_another_order():
+    # a violated precondition, not the LinAlgError of a least-squares shape mismatch
+    with pytest.raises(ValueError, match="R must match the order of N") as exc:
+        sp.has_sssp_in_direction(N_SPLIT, np.eye(4))
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
 def test_tangent_element_rejects_non_hamiltonian():
     with pytest.raises(ValueError):
         sp.tangent_element(np.eye(4), np.diag([1.0, 2, 3, 4]))
@@ -247,7 +254,7 @@ def test_tangent_element_rejects_non_hamiltonian():
 
 def test_sssp_in_direction_trivial_when_already_sssp():
     N = sp.random_pd_with_graph(sp.complete_graph(4), np.random.default_rng(5))
-    M = sp.sp_basis(2)[0].matrix
+    M = sp.sp_basis(2)[0]
     R = sp.tangent_element(N, M)
     assert sp.has_sssp_in_direction(N, R)
 
@@ -368,11 +375,12 @@ def test_continuation_residual_is_infinite_outside_the_pd_cone(monkeypatch):
     assert np.isfinite(inside).all() and np.isinf(outside).all()
 
 
-def test_continuation_counts_a_start_outside_the_pd_cone_as_failed():
+def test_continuation_counts_a_start_outside_the_pd_cone_as_failed(monkeypatch):
     # edges up to 10x the smallest target cannot sit on diag(target, target)
+    monkeypatch.setattr(sssp, "_EDGE_SCALE", 10.0)
+    monkeypatch.setattr(sssp, "_MAX_ATTEMPTS", 3)
     with pytest.raises(ArithmeticError, match="best residual inf"):
-        sp.continuation_realize(sp.complete_graph(4), [1.0, 2.0], edge_scale=10.0,
-                                max_attempts=3)
+        sp.continuation_realize(sp.complete_graph(4), [1.0, 2.0])
 
 
 class _Captured(Exception):
@@ -565,7 +573,7 @@ def _oracle_cases():
 
 def test_direct_rows_equal_reference_reduced_rows():
     for N in _oracle_cases():
-        a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+        a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))
         vm = sp.verification_matrix(N)
         assert vm.row_index == tuple((int(i) + 1, int(j) + 1) for i, j in zip(a, b))
         np.testing.assert_allclose(sssp._tangent_rows(N, a, b), vm.reduced, rtol=0, atol=1e-13)
@@ -575,7 +583,7 @@ def test_direct_rows_equal_reference_reduced_rows():
 
 def test_triangle_commutation_system_keeps_singular_values():
     for N in _oracle_cases():
-        a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+        a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))
         if a.size == 0:
             continue
         s = np.linalg.svd(sssp._commutation_rows(N, a, b), compute_uv=False)
@@ -716,12 +724,12 @@ def _svd_only_full_rank(A, rank_tol):
 
 
 def _svd_only_rank(N, rank_tol=sssp.DEFAULT_RANK_TOL):
-    a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+    a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))
     return a.size == 0 or _svd_only_full_rank(sssp._tangent_rows(N, a, b), rank_tol)
 
 
 def _svd_only_nullspace(N, rank_tol=sssp.DEFAULT_RANK_TOL):
-    a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
+    a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))
     if a.size == 0:
         return True, None
     A = sssp._commutation_rows(N, a, b)
@@ -734,8 +742,8 @@ def _svd_only_nullspace(N, rank_tol=sssp.DEFAULT_RANK_TOL):
 
 
 def _svd_only_in_direction(N, R, rank_tol=sssp.DEFAULT_RANK_TOL):
-    a, b = sssp._nonedge_pairs(N, sssp.pattern_tol(N))
-    keep = np.abs(R[a, b]) <= sssp.pattern_tol(R)
+    a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))
+    keep = np.abs(R[a, b]) <= core.pattern_tol(R)
     a, b = a[keep], b[keep]
     return a.size == 0 or _svd_only_full_rank(sssp._commutation_rows(N, a, b), rank_tol)
 
@@ -755,7 +763,7 @@ def _benchmark_scale_cases():
     out = []
     for N in cases:
         basis = sp.sp_basis(N.shape[0] // 2)
-        M = sum(rng.standard_normal() * basis[k].matrix
+        M = sum(rng.standard_normal() * basis[k]
                 for k in rng.choice(len(basis), 2, replace=False))
         out.append((N, sp.tangent_element(N, M)))
     return out

@@ -327,6 +327,15 @@ def test_msp_pattern_mismatch_rejected():
         sp.msp_upper_bound(N, CG)
 
 
+def test_labeling_guard():
+    # p = 6 has 2^6 * 6! labelings; the guard stops both callers at p = 5
+    CG = sp.path_with_matching(12)
+    with pytest.raises(ValueError, match="enumeration guard 5"):
+        sp.representative_labelings(CG)
+    with pytest.raises(ValueError, match="enumeration guard 5"):
+        sp.msp_upper_bound(np.eye(12), CG)
+
+
 def test_exhaustive_guard():
     with pytest.raises(ValueError):
         sp.zc_number(sp.path_with_matching(22))
