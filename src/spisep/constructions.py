@@ -219,11 +219,11 @@ def corona_spectrum(A, D, E) -> np.ndarray:
     return np.sqrt(_corona_values(A, D, E)[3])
 
 
-def jacobi_from_spectrum(values, rng: np.random.Generator | None = None) -> np.ndarray:
+def jacobi_from_spectrum(values) -> np.ndarray:
     """A tridiagonal matrix with prescribed distinct eigenvalues (path pattern).
 
-    Lanczos on diag(values) with a strictly positive weight vector; distinct
-    nodes with positive weights give strictly positive off-diagonals.
+    Lanczos on diag(values) with uniform weights; distinct nodes with
+    positive weights give strictly positive off-diagonals.
     """
     lam = np.sort(np.asarray(values, dtype=float))
     p = lam.size
@@ -231,7 +231,7 @@ def jacobi_from_spectrum(values, rng: np.random.Generator | None = None) -> np.n
         raise ValueError("values must be distinct")
     if p == 1:
         return np.array([[lam[0]]])
-    w = np.full(p, 1.0 / p) if rng is None else rng.uniform(0.5, 1.0, size=p)
+    w = np.full(p, 1.0 / p)
     q = np.sqrt(w / np.sum(w))
     Q = np.zeros((p, p))
     Q[:, 0] = q
@@ -247,7 +247,7 @@ def jacobi_from_spectrum(values, rng: np.random.Generator | None = None) -> np.n
         if k < p - 1:
             beta[k] = np.linalg.norm(v)
             if beta[k] <= 1e-12:
-                raise ArithmeticError("Lanczos broke down; try different weights")
+                raise ArithmeticError("Lanczos broke down; the values are too close together")
             Q[:, k + 1] = v / beta[k]
     return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
 
@@ -379,7 +379,7 @@ def sparsity_audit(N, zero_tol: float | None = None) -> SparsityReport:
     )
 
 
-def householder_all_nonzero(p: int, rng: np.random.Generator | None = None) -> np.ndarray:
+def householder_all_nonzero(p: int) -> np.ndarray:
     """A symmetric orthogonal p x p matrix with every entry nonzero.
 
     I - 2 v v.T for a unit vector v with all entries nonzero and no entry of
@@ -389,8 +389,6 @@ def householder_all_nonzero(p: int, rng: np.random.Generator | None = None) -> n
     if p == 1:
         return np.array([[-1.0]])
     v = np.arange(1.0, p + 1.0)
-    if rng is not None:
-        v = v + rng.uniform(0.01, 0.3, size=p)
     for _ in range(_MAX_RESAMPLE):
         u = v / np.linalg.norm(v)
         B = np.eye(p) - 2.0 * np.outer(u, u)

@@ -205,12 +205,12 @@ _ENUMERATION_GUARD = 12
 _LABELING_GUARD = 5
 
 
-def enumerate_couplings(n: int, max_n: int = _ENUMERATION_GUARD) -> list[Coupling]:
+def enumerate_couplings(n: int) -> list[Coupling]:
     """All (n-1)!! perfect pairings of {1..n}.  Guarded against blowup."""
     if n % 2 != 0:
         raise ValueError("n must be even")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the enumeration guard {max_n}; raise max_n to override")
+    if n > _ENUMERATION_GUARD:
+        raise ValueError(f"n={n} exceeds the enumeration guard {_ENUMERATION_GUARD}")
 
     def rec(rest: tuple[int, ...]):
         if not rest:

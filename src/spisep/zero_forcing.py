@@ -6,8 +6,9 @@ Minimum Rank Library), a cheapest-first search over closed blue sets,
 adapted here to the self-forcing rule of the loop and coupled processes.
 Vertices that no rule can ever force (isolated vertices, for the loop and
 standard rules) are pinned into every forcing set instead of being searched
-over.  The search is exact; its cost grows with the number of closed sets
-it meets, so orders are guarded at 20 by default.
+over.  The search is exact; its cost and memory grow with the closed sets
+it stores, so it raises ValueError beyond 2**20 of them.  They are distinct
+vertex subsets, so no graph of order 20 or less reaches that budget.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .graphs import (
     representative_labelings,
 )
 
-DEFAULT_MAX_N = 20
+_CLOSED_SET_BUDGET = 2**20
 
 
 def _rule(G: LabeledGraph, pairs=(), self_forcing: bool = True) -> tuple[list[int], int, int, int]:
@@ -133,21 +134,15 @@ def _min_forcing_set(
                 if entry < best.get(T, (n + 1, 0)):
                     best[T] = entry
                     buckets[step].add(T)
+                    if len(best) > _CLOSED_SET_BUDGET:
+                        raise ValueError(f"the forcing search stored {len(best)} closed "
+                                         f"sets, over its budget of {_CLOSED_SET_BUDGET}")
     return n, full  # unreachable: B = V always forces
 
 
 def _close(rule, blue) -> frozenset[int]:
     masks, n, self_ok, _ = rule
     return _to_set(_closure(masks, n, _to_mask(blue), self_ok))
-
-
-def _search(rule, max_n: int) -> tuple[int, int]:
-    n = rule[1]
-    if n > max_n:
-        raise ValueError(
-            f"order {n} exceeds the forcing-search guard {max_n}; raise max_n to override"
-        )
-    return _min_forcing_set(*rule)
 
 
 def coupled_closure(CG: CoupledGraph, blue) -> frozenset[int]:
@@ -170,28 +165,28 @@ def standard_closure(G: LabeledGraph, blue) -> frozenset[int]:
     return _close(_rule(G, self_forcing=False), blue)
 
 
-def zc_minimum_set(CG: CoupledGraph, max_n: int = DEFAULT_MAX_N) -> frozenset[int]:
+def zc_minimum_set(CG: CoupledGraph) -> frozenset[int]:
     """A minimum coupled zero forcing set of the coupled graph."""
-    return _to_set(_search(_rule(CG.graph, CG.coupling.pairs), max_n)[1])
+    return _to_set(_min_forcing_set(*_rule(CG.graph, CG.coupling.pairs))[1])
 
 
-def zc_number(CG: CoupledGraph, max_n: int = DEFAULT_MAX_N) -> int:
+def zc_number(CG: CoupledGraph) -> int:
     """Minimum size of a coupled zero forcing set.
 
     Equals the loop zero forcing number of the graph closed up by the
     coupling edges.
     """
-    return len(zc_minimum_set(CG, max_n))
+    return len(zc_minimum_set(CG))
 
 
-def loop_zf_number(G: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> int:
+def loop_zf_number(G: LabeledGraph) -> int:
     """Minimum size of a loop zero forcing set of G."""
-    return _search(_rule(G), max_n)[0]
+    return _min_forcing_set(*_rule(G))[0]
 
 
-def standard_zf_number(G: LabeledGraph, max_n: int = DEFAULT_MAX_N) -> int:
+def standard_zf_number(G: LabeledGraph) -> int:
     """Minimum size of a standard zero forcing set of G."""
-    return _search(_rule(G, self_forcing=False), max_n)[0]
+    return _min_forcing_set(*_rule(G, self_forcing=False))[0]
 
 
 def zc_equals_one(CG: CoupledGraph) -> bool:

@@ -70,8 +70,15 @@ def test_symmetric_block_threshold_is_shared(build):
 
 
 def test_block_diag_requires_invertible():
-    with pytest.raises(ValueError):
-        sp.basic_symplectic("block_diag", np.zeros((2, 2)))
+    for A in (np.zeros((2, 2)), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="must be invertible"):
+            sp.basic_symplectic("block_diag", A)
+
+
+def test_block_diag_invertibility_is_scale_free():
+    # det = 1e-320 underflows, yet the factor has condition number 1
+    S = sp.basic_symplectic("block_diag", 1e-160 * np.eye(2))
+    assert np.array_equal(S, np.diag([1e-160, 1e-160, 1e160, 1e160]))
 
 
 def test_is_symplectic_rejects_odd_order():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spisep as sp
+from spisep import graphs
 from spisep.core import pattern_tol
 
 
@@ -122,10 +123,11 @@ def test_enumerate_couplings_returns_a_fresh_list():
     assert sp.enumerate_couplings(6) == expected
 
 
-def test_enumeration_guard():
-    with pytest.raises(ValueError):
+def test_enumeration_guard(monkeypatch):
+    with pytest.raises(ValueError, match="enumeration guard 12"):
         sp.enumerate_couplings(14)
-    assert len(sp.enumerate_couplings(14, max_n=14)) == 135135
+    monkeypatch.setattr(graphs, "_ENUMERATION_GUARD", 14)
+    assert len(sp.enumerate_couplings(14)) == 135135
 
 
 def test_representative_labelings_match_enumeration():

@@ -7,6 +7,7 @@ import pytest
 
 import spisep as sp
 from spisep import cli
+from spisep import zero_forcing as zf
 from spisep.cli import _CONSTRUCT_BUILDERS, main
 from spisep.io import ParseError, load_graph, load_matrix, save_graph, save_matrix
 
@@ -326,6 +327,18 @@ def test_cli_zc(tmp_path, capsys):
     save_graph(str(gpath), sp.path_graph(6))
     assert main(["zc", str(gpath)]) == 3
     capsys.readouterr()
+
+
+def test_cli_zc_above_order_20(tmp_path, capsys, monkeypatch):
+    gpath = tmp_path / "g.json"
+    CG = sp.path_with_matching(22)
+    save_graph(str(gpath), CG.graph, CG.coupling)
+    assert main(["zc", str(gpath), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["zc"] == 1
+    # the search stores two closed sets on this graph
+    monkeypatch.setattr(zf, "_CLOSED_SET_BUDGET", 1)
+    assert main(["zc", str(gpath), "--json"]) == 3
+    assert "budget of 1" in capsys.readouterr().err
 
 
 def test_cli_audit_sparsity(tmp_path, capsys):

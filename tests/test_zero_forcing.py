@@ -337,6 +337,25 @@ def test_labeling_guard():
 
 
 def test_exhaustive_guard():
-    with pytest.raises(ValueError):
-        sp.zc_number(sp.path_with_matching(22))
-    assert sp.zc_number(sp.path_with_matching(22), max_n=22) == 1
+    # no order guard: above order 20 the search runs
+    assert sp.zc_number(sp.path_with_matching(22)) == 1
+
+
+def test_closed_set_budget(monkeypatch):
+    # the split coupling of the empty graph on 10 vertices meets 32 closed sets
+    CG = sp.CoupledGraph(sp.empty_graph(10), sp.split_coupling(10))
+    assert sp.zc_number(CG) == 5
+    monkeypatch.setattr(zf, "_CLOSED_SET_BUDGET", 16)
+    with pytest.raises(ValueError, match="budget of 16"):
+        sp.zc_number(CG)
+
+
+@pytest.mark.parametrize("CG,zc", [
+    (sp.path_with_matching(40), 1),
+    (sp.cycle_with_matching(24), 2),
+    (sp.corona(sp.complete_graph(11)), 10),
+])
+def test_known_zc_above_order_20(CG, zc):
+    blue = sp.zc_minimum_set(CG)
+    assert len(blue) == zc
+    assert sp.coupled_closure(CG, blue) == frozenset(range(1, CG.graph.order + 1))
