@@ -76,7 +76,7 @@ def test_block_diag_requires_invertible():
 
 
 def test_block_diag_invertibility_is_scale_free():
-    # det = 1e-320 underflows, yet the factor has condition number 1
+    # det(A) = 1e-320, yet A has condition number 1
     S = sp.basic_symplectic("block_diag", 1e-160 * np.eye(2))
     assert np.array_equal(S, np.diag([1e-160, 1e-160, 1e160, 1e160]))
 
