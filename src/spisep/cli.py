@@ -31,7 +31,7 @@ from .core import (
     williamson,
     omega,
 )
-from .graphs import CoupledGraph, coupling_closure_graph, graph_of_matrix, path_shear_block
+from .graphs import CoupledGraph, graph_of_matrix, path_shear_block
 from .io import ParseError, load_graph, load_matrix, save_matrix
 from .sssp import (
     DEFAULT_RANK_TOL,
@@ -40,7 +40,7 @@ from .sssp import (
     has_sssp_nullspace,
     has_sssp_rank,
 )
-from .zero_forcing import loop_zf_number, zc_equals_one, zc_minimum_set
+from .zero_forcing import zc_equals_one, zc_minimum_set
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -199,13 +199,11 @@ def cmd_zc(args) -> dict:
         raise ValueError("graph file must carry a coupling for coupled zero forcing")
     CG = CoupledGraph(G, coupling)
     blue = zc_minimum_set(CG)
-    closure_graph = coupling_closure_graph(CG)
     return {
         "command": "zc",
         "order": G.order,
         "zc": len(blue),
         "minimum_set": sorted(blue),
-        "loop_zf_of_closure_graph": loop_zf_number(closure_graph),
         "zc_equals_one_structural": zc_equals_one(CG),
     }
 

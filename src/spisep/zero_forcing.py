@@ -3,7 +3,8 @@
 The color change processes run on bitmask adjacency internally; minimum
 forcing sets are found by the Wavefront search of Butler et al. (Sage
 Minimum Rank Library), a cheapest-first search over closed blue sets,
-adapted here to the self-forcing rule of the loop and coupled processes.
+adapted here to the self-forcing rule of the loop and coupled processes,
+and bounded by the cheapest full forcing set it has found so far.
 Vertices that no rule can ever force (isolated vertices, for the loop and
 standard rules) are pinned into every forcing set instead of being searched
 over.  The search is exact; its cost and memory grow with the closed sets
@@ -102,8 +103,13 @@ def _min_forcing_set(
     vertex, so expanding closed sets in order of cost (Dijkstra with integer
     buckets) reaches the full set first at the minimum size; each closed set
     keeps the smallest ``(cost, bought mask)`` that reaches it, with the
-    highest white vertex of ``T_v`` taken as the free one.  Returns
-    ``(size, blue mask)``; the mask includes ``pinned``.
+    highest white vertex of ``T_v`` taken as the free one.  The search is
+    bounded by ``top``, the cost of the cheapest full set stored so far: a
+    step above it is skipped before its closure, and a step at it is stored
+    only when it closes to the full set.  This changes no output: the loop
+    returns at a cost of at most ``top``, so it never expands a set stored
+    at ``top`` or above, and only a full set at ``top`` can still win the
+    tie-break.  Returns ``(size, blue mask)``; the mask includes ``pinned``.
     """
     full = (1 << n) - 1
     start = _closure(masks, n, pinned, self_ok)
@@ -112,7 +118,8 @@ def _min_forcing_set(
     buckets: list[set[int]] = [set() for _ in range(n + 1)]
     buckets[0].add(start)
     for cost in range(n + 1):
-        if best.get(full, (n + 1,))[0] == cost:
+        top = best.get(full, (n + 1,))[0]
+        if top == cost:
             return base_k + cost, best[full][1]
         for S in buckets[cost]:
             if best[S][0] != cost:
@@ -129,11 +136,15 @@ def _min_forcing_set(
                     free = 1 << (rest.bit_length() - 1) if rest else 0
                 bought = add ^ free
                 step = cost + bought.bit_count()
+                if step > top:
+                    continue
                 T = _closure(masks, n, S | add, self_ok)
                 entry = (step, witness | bought)
-                if entry < best.get(T, (n + 1, 0)):
+                if (step < top or T == full) and entry < best.get(T, (n + 1, 0)):
                     best[T] = entry
                     buckets[step].add(T)
+                    if T == full:
+                        top = step
                     if len(best) > _CLOSED_SET_BUDGET:
                         raise ValueError(f"the forcing search stored {len(best)} closed "
                                          f"sets, over its budget of {_CLOSED_SET_BUDGET}")

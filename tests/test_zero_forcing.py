@@ -77,6 +77,80 @@ def test_search_matches_brute_force_on_random_graphs():
         _assert_all_rules_exact(G, couplings)
 
 
+def _min_forcing_set_reference(masks, n, self_ok, pinned):
+    # the Wavefront search without the bound by the cheapest full set: every
+    # step's closure is computed and every improved closed set is stored
+    full = (1 << n) - 1
+    start = zf._closure(masks, n, pinned, self_ok)
+    best = {start: (0, pinned)}
+    buckets = [set() for _ in range(n + 1)]
+    buckets[0].add(start)
+    for cost in range(n + 1):
+        if best.get(full, (n + 1,))[0] == cost:
+            return pinned.bit_count() + cost, best[full][1]
+        for S in buckets[cost]:
+            if best[S][0] != cost:
+                continue
+            witness = best[S][1]
+            for v in range(n):
+                bit = 1 << v
+                add = (masks[v] | bit) & ~S
+                if not add:
+                    continue
+                free = 1 << (add.bit_length() - 1)
+                if free == bit and not self_ok & bit:
+                    rest = add ^ bit
+                    free = 1 << (rest.bit_length() - 1) if rest else 0
+                bought = add ^ free
+                step = cost + bought.bit_count()
+                T = zf._closure(masks, n, S | add, self_ok)
+                entry = (step, witness | bought)
+                if entry < best.get(T, (n + 1, 0)):
+                    best[T] = entry
+                    buckets[step].add(T)
+
+
+def _assert_rules_match_reference(G, couplings=()):
+    rules = [zf._rule(G, self_forcing=False), zf._rule(G)]
+    rules += [zf._rule(G, c.pairs) for c in couplings]
+    for rule in rules:
+        assert zf._min_forcing_set(*rule) == _min_forcing_set_reference(*rule)
+
+
+def test_search_matches_the_unbounded_reference():
+    # the same (size, mask), tie-break included, for all three rules
+    couplings = sp.enumerate_couplings(6)
+    atlas6 = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 6]
+    assert len(atlas6) == 156 and len(couplings) == 15
+    for g in atlas6:
+        _assert_rules_match_reference(
+            sp.LabeledGraph.from_edges(6, [(u + 1, v + 1) for u, v in g.edges]), couplings)
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        n = int(rng.integers(1, 15))
+        G = _random_graph(rng, n, rng.uniform(0.05, 0.7))
+        order = [int(v) for v in rng.permutation(n) + 1]
+        couplings = [sp.Coupling.from_pairs(zip(order[::2], order[1::2]))] if n % 2 == 0 else []
+        _assert_rules_match_reference(G, couplings)
+
+
+def test_search_skips_steps_above_the_cheapest_full_set(monkeypatch):
+    calls = [0]
+    closure = zf._closure
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(zf, "_closure", counted)
+    G = _random_graph(np.random.default_rng(11), 20, 0.3)
+    rule = zf._rule(G, sp.split_coupling(20).pairs)
+    found = zf._min_forcing_set(*rule)
+    bounded, calls[0] = calls[0], 0
+    assert found == _min_forcing_set_reference(*rule)
+    assert 2 * bounded <= calls[0]
+
+
 def test_order_20_dense_split_coupling():
     # the largest forcing-ladder shape: n = 20, density 0.6, split coupling
     CG = sp.CoupledGraph(_random_graph(np.random.default_rng(9), 20, 0.6), sp.split_coupling(20))
