@@ -8,10 +8,11 @@ ones); if no, only distinct pairs occur.
 
 Every verdict is machine-checked when the catalogue is built: "arbitrary"
 verdicts carry a symplectic PD witness with the exact pattern (plus an SSSP
-certificate where claimed), and "simple only" verdicts carry a structural
-obstruction (edge-count bound or isolated-vertex argument) together with
-randomized evidence that (Omega N)^2 stays far from every scalar matrix.
-The randomized evidence is evidence, not proof.
+certificate where claimed), and "simple only" verdicts, the pairs without a
+witness, carry a proof: an off-diagonal entry of (Omega N)^2 that is a single
+product of structural nonzeros, so (Omega N)^2 is never scalar.  Randomized
+evidence that (Omega N)^2 stays far from every scalar matrix is kept beside
+the proof.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .constructions import (
     _random_pd_stack,
     dopico_johnson,
-    isolated_vertex_obstruction,
     random_smear,
     shear_square,
 )
@@ -170,56 +170,45 @@ def _evidence_never_scalar(
 # the verdict table
 # ---------------------------------------------------------------------------
 
-# (graph, coupling_id) -> (verdict, justification kind, witness builder or None)
-_SPARSITY = "sparsity"
-_ISOLATED = "isolated"
-_RANDOMIZED = "randomized"
-
-_TABLE: dict[tuple[str, int], tuple[str, str | None, object]] = {
-    ("K4", 1): (ARBITRARY_SSSP, None, "smear"),
-    ("K4", 2): (ARBITRARY_SSSP, None, "smear"),
-    ("K4", 3): (ARBITRARY_SSSP, None, "smear"),
-    ("K4-e", 1): (ARBITRARY_SSSP, None, _witness_diamond_offpair),
-    ("K4-e", 2): (ARBITRARY_SSSP, None, lambda: shear_square(np.ones((2, 2)))),
-    ("K4-e", 3): (ARBITRARY_SSSP, None, lambda: shear_square(np.ones((2, 2)))),
-    ("C4", 1): (ARBITRARY_SSSP, None, _witness_cycle4),
-    ("C4", 2): (ARBITRARY_SSSP, None, _witness_bipartite_matching),
-    ("C4", 3): (ARBITRARY_SSSP, None, _witness_bipartite_matching),
-    ("paw", 1): (SIMPLE_ONLY, _RANDOMIZED, None),
-    ("paw", 2): (ARBITRARY_SSSP, None, _witness_paw),
-    ("paw", 3): (ARBITRARY_SSSP, None, _witness_paw),
-    ("P4", 1): (SIMPLE_ONLY, _SPARSITY, None),
-    ("P4", 2): (SIMPLE_ONLY, _SPARSITY, None),
-    ("P4", 3): (SIMPLE_ONLY, _SPARSITY, None),
-    ("K1,3", 1): (SIMPLE_ONLY, _SPARSITY, None),
-    ("K1,3", 2): (SIMPLE_ONLY, _SPARSITY, None),
-    ("K1,3", 3): (SIMPLE_ONLY, _SPARSITY, None),
-    ("2K2", 1): (ARBITRARY, None, _witness_two_edges_adjacent),
-    ("2K2", 2): (ARBITRARY, None, _witness_two_edges_split),
-    ("2K2", 3): (
-        ARBITRARY,
-        None,
-        lambda: monomial_relabel(_witness_two_edges_adjacent(), (1, 4, 3, 2)),
-    ),
-    ("K1+K3", 1): (SIMPLE_ONLY, _ISOLATED, None),
-    ("K1+K3", 2): (SIMPLE_ONLY, _ISOLATED, None),
-    ("K1+K3", 3): (SIMPLE_ONLY, _ISOLATED, None),
-    ("K1+P3", 1): (SIMPLE_ONLY, _ISOLATED, None),
-    ("K1+P3", 2): (SIMPLE_ONLY, _ISOLATED, None),
-    ("K1+P3", 3): (SIMPLE_ONLY, _ISOLATED, None),
-    ("2K1+K2", 1): (SIMPLE_ONLY, _ISOLATED, None),
-    ("2K1+K2", 2): (ARBITRARY, None, _witness_edge_plus_isolated),
-    ("2K1+K2", 3): (SIMPLE_ONLY, _ISOLATED, None),
-    ("4K1", 1): (ARBITRARY, None, lambda: np.eye(4)),
-    ("4K1", 2): (ARBITRARY, None, lambda: np.eye(4)),
-    ("4K1", 3): (ARBITRARY, None, lambda: np.eye(4)),
+# (graph, coupling_id) -> (verdict, witness builder) for every pair with a
+# symplectic PD witness; every other pair is simple only, proven by _forced_entry
+_WITNESSES: dict[tuple[str, int], tuple[str, object]] = {
+    ("K4", 1): (ARBITRARY_SSSP, "smear"),
+    ("K4", 2): (ARBITRARY_SSSP, "smear"),
+    ("K4", 3): (ARBITRARY_SSSP, "smear"),
+    ("K4-e", 1): (ARBITRARY_SSSP, _witness_diamond_offpair),
+    ("K4-e", 2): (ARBITRARY_SSSP, lambda: shear_square(np.ones((2, 2)))),
+    ("K4-e", 3): (ARBITRARY_SSSP, lambda: shear_square(np.ones((2, 2)))),
+    ("C4", 1): (ARBITRARY_SSSP, _witness_cycle4),
+    ("C4", 2): (ARBITRARY_SSSP, _witness_bipartite_matching),
+    ("C4", 3): (ARBITRARY_SSSP, _witness_bipartite_matching),
+    ("paw", 2): (ARBITRARY_SSSP, _witness_paw),
+    ("paw", 3): (ARBITRARY_SSSP, _witness_paw),
+    ("2K2", 1): (ARBITRARY, _witness_two_edges_adjacent),
+    ("2K2", 2): (ARBITRARY, _witness_two_edges_split),
+    ("2K2", 3): (ARBITRARY, lambda: monomial_relabel(_witness_two_edges_adjacent(), (1, 4, 3, 2))),
+    ("2K1+K2", 2): (ARBITRARY, _witness_edge_plus_isolated),
+    ("4K1", 1): (ARBITRARY, lambda: np.eye(4)),
+    ("4K1", 2): (ARBITRARY, lambda: np.eye(4)),
+    ("4K1", 3): (ARBITRARY, lambda: np.eye(4)),
 }
 
-_JUSTIFICATION_TEXT = {
-    _SPARSITY: "connected with fewer than 3p-2 edges: no symplectic PD matrix exists",
-    _ISOLATED: "an isolated label whose form partner is not isolated forces two distinct symplectic eigenvalues",
-    _RANDOMIZED: "the (1,4) entry of (Omega N)^2 equals -N[3,3]*N[1,4] != 0 for this pattern; randomized evidence only",
-}
+
+def _forced_entry(pattern: LabeledGraph) -> tuple[int, int] | None:
+    """An off-diagonal entry (i, k) of (Omega N)^2 that is nonzero for every N
+    with this pattern, or None.
+
+    With A the pattern of N plus its diagonal (positive for a PD N), B = A
+    with its two row blocks swapped is the pattern of Omega N, and
+    (B @ B)[i, k] counts the products of structural nonzeros that make up
+    (Omega N)^2 [i, k].  A count of one is a single product of nonzeros, so
+    (Omega N)^2 is never scalar; since (Omega S)^2 = -I for symplectic S, no
+    multiple of N is then symplectic.
+    """
+    off = ~np.eye(pattern.order, dtype=bool)
+    B = np.roll(pattern.adjacency() + np.eye(pattern.order), pattern.order // 2, axis=0)
+    single = np.argwhere((B @ B == 1) & off)
+    return None if single.size == 0 else (int(single[0, 0]) + 1, int(single[0, 1]) + 1)
 
 
 def _check_arbitrary(entry: CatalogueEntry, with_sssp: bool) -> None:
@@ -235,14 +224,14 @@ def _check_arbitrary(entry: CatalogueEntry, with_sssp: bool) -> None:
         entry.checks["sssp_tests_agree"] = rank_ok == null_ok
 
 
-def _check_simple(entry: CatalogueEntry, kind: str, evidence_samples: int, rng) -> None:
-    pattern = entry.pattern
-    if kind == _SPARSITY:
-        entry.checks["connected"] = pattern.is_connected()
-        entry.checks["below_edge_bound"] = pattern.size < 3 * (pattern.order // 2) - 2
-    elif kind == _ISOLATED:
-        entry.checks["isolated_obstruction"] = isolated_vertex_obstruction(pattern)
-    dist = _evidence_never_scalar(pattern, evidence_samples, rng)
+def _check_simple(entry: CatalogueEntry, evidence_samples: int, rng) -> None:
+    forced = _forced_entry(entry.pattern)
+    entry.checks["forced_nonscalar_entry"] = forced is not None
+    entry.justification = "no entry of (Omega N)^2 is forced nonzero" if forced is None else (
+        f"the {forced} entry of (Omega N)^2 is a single product of structural nonzeros,"
+        " so (Omega N)^2 is never scalar and no multiple of N is symplectic"
+    )
+    dist = _evidence_never_scalar(entry.pattern, evidence_samples, rng)
     entry.checks["evidence_min_scalar_distance"] = dist
     entry.checks["evidence_ok"] = dist > EVIDENCE_THRESHOLD
 
@@ -260,12 +249,8 @@ def build_order4_catalogue(seed: int = 0, evidence_samples: int = 1000) -> list[
             # the first representative labeling sends the k-th pair to labels {k, k+p}
             labeling = representative_labelings(CG)[0]
             pattern = apply_labeling(CG, labeling)
-            verdict, kind, builder = _TABLE[(name, cid)]
-            witness = None
-            if builder == "smear":
-                witness = smear
-            elif callable(builder):
-                witness = builder()
+            verdict, builder = _WITNESSES.get((name, cid), (SIMPLE_ONLY, None))
+            witness = smear if builder == "smear" else builder() if builder else None
             entry = CatalogueEntry(
                 graph=name,
                 coupling_id=cid,
@@ -273,11 +258,11 @@ def build_order4_catalogue(seed: int = 0, evidence_samples: int = 1000) -> list[
                 labeling=labeling,
                 pattern=pattern,
                 verdict=verdict,
-                justification=_JUSTIFICATION_TEXT.get(kind, "machine-verified symplectic PD witness"),
+                justification="machine-verified symplectic PD witness",
                 witness=witness,
             )
             if verdict == SIMPLE_ONLY:
-                _check_simple(entry, kind, evidence_samples, rng)
+                _check_simple(entry, evidence_samples, rng)
             else:
                 _check_arbitrary(entry, with_sssp=(verdict == ARBITRARY_SSSP))
             entries.append(entry)

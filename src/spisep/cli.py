@@ -1,15 +1,15 @@
 """Command line front end.
 
 Every subcommand prints a JSON report (pretty by default, compact with
---json) that includes the tolerances it used.  Exit codes: 0 success,
-2 unparseable input, 3 violated precondition, 4 numerical failure.
+--json); those of spectrum, sssp and audit-sparsity include the tolerances
+they used.  Exit codes: 0 success, 2 unparseable input, 3 violated
+precondition, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -63,16 +63,6 @@ def _matrix_list(M: np.ndarray) -> list[list[float]]:
     return [[float(x) for x in row] for row in M]
 
 
-def _effective_seed(args) -> int:
-    env = os.environ.get("SPISEP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"SPISEP_SEED must be an integer, got {env!r}") from exc
-    return args.seed
-
-
 def _parse_targets(text: str | None) -> list[float] | None:
     if text is None:
         return None
@@ -80,8 +70,8 @@ def _parse_targets(text: str | None) -> list[float] | None:
         vals = [float(t) for t in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ParseError(f"bad targets {text!r}") from exc
-    if not vals or any(v <= 0 for v in vals):
-        raise ValueError("targets must be positive numbers")
+    if not vals:
+        raise ValueError("--targets is empty")
     return vals
 
 
@@ -170,7 +160,7 @@ _CONSTRUCT_BUILDERS = {
 
 
 def cmd_construct(args) -> dict:
-    seed = _effective_seed(args)
+    seed = args.seed
     targets = _parse_targets(args.targets)
     p = args.size
     if p is None or p < 1:
@@ -209,7 +199,7 @@ def cmd_zc(args) -> dict:
 
 
 def cmd_catalogue(args) -> dict:
-    seed = _effective_seed(args)
+    seed = args.seed
     entries = cat.build_order4_catalogue(seed=seed, evidence_samples=args.samples)
     failures = [f"{e.graph}/{e.coupling_id}" for e in entries if not e.ok]
     report = {
@@ -252,7 +242,7 @@ _OPTIONS = {
     "--tol-zero": dict(type=float, default=None,
                        help="absolute threshold for structural zeros (default: scale-relative)"),
     "--seed": dict(type=int, default=0,
-                   help="seed for randomized constructions (SPISEP_SEED overrides)"),
+                   help="seed for randomized constructions"),
 }
 
 

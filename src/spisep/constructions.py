@@ -29,9 +29,10 @@ _MAX_RESAMPLE = 100
 
 
 def _check_targets(target) -> np.ndarray:
+    # the one rule for target spectra: nonempty, every value positive and finite
     t = np.asarray(target, dtype=float).ravel()
-    if t.size == 0 or np.any(t <= 0):
-        raise ValueError("targets must be positive")
+    if t.size == 0 or not np.all((t > 0) & (t < np.inf)):
+        raise ValueError("targets must be positive and finite")
     return t
 
 

@@ -20,6 +20,7 @@ from scipy.linalg.lapack import dpotrf
 
 from .core import (
     _EPS,
+    DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
     _nonzero,
     _require_pd,
@@ -29,6 +30,7 @@ from .core import (
     is_positive_definite,
     omega,
 )
+from .constructions import _check_targets
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
@@ -317,18 +319,26 @@ def tangent_element(N, M) -> np.ndarray:
 
 
 def in_tangent_space(N, R) -> bool:
-    """Whether R lies in {N M + M.T N : M Hamiltonian}, via least squares: the
-    residual must be at most 1e-8 relative to max(1, ||vec_triangle(R)||)."""
-    N = as_symmetric(N, even=True)
+    """Whether R lies in {N M + M.T N : M Hamiltonian}, for positive definite N.
+
+    A symplectic S with S.T N S = diag(d, d) carries this space onto the one
+    at diag(d, d), so R is tangent iff X = S.T R S has X[k, k] + X[k+p, k+p]
+    = 0 for every k and, for each pair k, l with |d_k - d_l| <=
+    DEFAULT_CLUSTER_TOL max(d_k, d_l), also X[k, l] + X[k+p, l+p] = 0 and
+    X[k, l+p] = X[l, k+p]; each to 1e-8 max(1, max |X|).  Raises
+    NotPositiveDefiniteError unless N is positive definite.
+    """
+    N = _require_pd(N)
     R = as_symmetric(R)
     if R.shape != N.shape:
         raise ValueError("R must match the order of N")
-    b = vec_triangle(R)
-    if not np.any(b):
-        return True
-    A = _tangent_rows(N, *_triangle(N.shape[0]))
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return float(np.linalg.norm(A @ x - b)) <= 1e-8 * max(1.0, float(np.linalg.norm(b)))
+    d, S = _williamson_columns(N)
+    p = d.size
+    X = S.T @ R @ S
+    C = X[:p, p:]
+    near = np.abs(d[:, None] - d) <= DEFAULT_CLUSTER_TOL * np.maximum.outer(d, d)
+    gap = np.maximum(np.abs(X[:p, :p] + X[p:, p:]), np.abs(C - C.T))[near]
+    return float(np.max(gap)) <= 1e-8 * max(1.0, float(np.max(np.abs(X))))
 
 
 def has_sssp_in_direction(
@@ -423,9 +433,9 @@ def continuation_realize(
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
     p = G.order // 2
-    target = np.sort(np.asarray(target, dtype=float))
-    if target.size != p or np.any(target <= 0):
-        raise ValueError("target must consist of p positive values")
+    target = np.sort(_check_targets(target))
+    if target.size != p:
+        raise ValueError("target must consist of p values")
     if rng is None:
         rng = np.random.default_rng(0)
 

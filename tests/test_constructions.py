@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import spisep as sp
+from spisep import catalogue
 from spisep.constructions import _random_pd_stack
 from spisep.core import pattern_tol
 
@@ -380,3 +381,30 @@ def test_householder_all_nonzero():
 def test_catalogue_rejects_fewer_than_one_evidence_sample(samples):
     with pytest.raises(ValueError, match="evidence_samples must be at least 1"):
         sp.build_order4_catalogue(evidence_samples=samples)
+
+
+def test_forced_entry_fires_exactly_on_simple_only_pairs():
+    # under every representative labeling, the structural rule proves each
+    # simple-only verdict and fires on no pair that has a witness
+    entries = sp.build_order4_catalogue(evidence_samples=1)
+    assert sum(e.verdict == "simple_only" for e in entries) == 15
+    rng = np.random.default_rng(18)
+    for e in entries:
+        CG = sp.CoupledGraph(sp.ORDER4_GRAPHS[e.graph], sp.ORDER4_COUPLINGS[e.coupling_id])
+        labelings = sp.representative_labelings(CG)
+        assert len(labelings) == 8
+        for lab in labelings:
+            pattern = sp.apply_labeling(CG, lab)
+            forced = catalogue._forced_entry(pattern)
+            assert (forced is not None) == (e.verdict == "simple_only"), (e.graph, e.coupling_id, lab)
+            if forced is not None:
+                OmN = sp.omega(2) @ sp.random_pd_with_graph(pattern, rng)
+                assert (OmN @ OmN)[forced[0] - 1, forced[1] - 1] != 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_targets_must_be_finite(bad):
+    with pytest.raises(ValueError, match="targets must be positive and finite"):
+        sp.realize_shear(np.ones((2, 2)), [1.0, bad])
+    with pytest.raises(ValueError, match="targets must be positive and finite"):
+        sp.random_smear([1.0, bad])

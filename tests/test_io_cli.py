@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spisep as sp
+from spisep import catalogue
 from spisep import cli
 from spisep import zero_forcing as zf
 from spisep.cli import _CONSTRUCT_BUILDERS, main
@@ -280,6 +281,12 @@ def test_cli_construct_dopico_johnson_rejects_targets(capsys):
     assert "--targets" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("targets", ["1,inf", "1,nan", "1,-2"])
+def test_cli_construct_rejects_targets_that_are_not_positive_and_finite(targets, capsys):
+    assert main(["construct", "tripath", "--size", "2", "--targets", targets, "--json"]) == 3
+    assert "targets must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "family, targets",
     [(f, None) for f in _CONSTRUCT_BUILDERS]
@@ -296,19 +303,22 @@ def test_cli_construct_every_family(family, targets, capsys):
     assert "tolerances" not in report
 
 
-def test_cli_seed_env_override(tmp_path, capsys, monkeypatch):
-    out1 = str(tmp_path / "a.json")
+def test_cli_seed_ignores_the_environment(tmp_path, capsys, monkeypatch):
+    # --seed is the one setter of the seed; an environment variable named like it is ignored
+    def construct(seed, name):
+        out = str(tmp_path / name)
+        assert main(["construct", "dopico-johnson", "--size", "2", "--seed", str(seed),
+                     "--out", out, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["seed"], load_matrix(out)
+
     monkeypatch.setenv("SPISEP_SEED", "99")
-    assert main(["construct", "dopico-johnson", "--size", "2", "--seed", "1",
-                 "--out", out1, "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["seed"] == 99
+    seed, with_env = construct(1, "a.json")
+    assert seed == 1
     monkeypatch.delenv("SPISEP_SEED")
-    out2 = str(tmp_path / "b.json")
-    assert main(["construct", "dopico-johnson", "--size", "2", "--seed", "99",
-                 "--out", out2, "--json"]) == 0
-    capsys.readouterr()
-    assert np.array_equal(load_matrix(out1), load_matrix(out2))
+    assert np.array_equal(construct(1, "b.json")[1], with_env)
+    seed, first = construct(99, "c.json")
+    assert seed == 99 and np.array_equal(construct(99, "d.json")[1], first)
+    assert not np.array_equal(first, with_env)
 
 
 def test_cli_zc(tmp_path, capsys):
@@ -373,6 +383,16 @@ def test_cli_catalogue_small_sample(capsys):
     assert verdicts[("paw", 1)] == "simple_only"
     assert verdicts[("paw", 2)] == "arbitrary_with_SSSP_witness"
     assert verdicts[("2K2", 3)] == "spectrally_arbitrary"
+
+
+def test_cli_catalogue_exits_4_when_a_simple_only_proof_fails(capsys, monkeypatch):
+    # the randomized evidence still passes, yet every simple-only entry fails without its proof
+    simple = {f"{e.graph}/{e.coupling_id}" for e in sp.build_order4_catalogue(evidence_samples=1)
+              if e.verdict == "simple_only"}
+    monkeypatch.setattr(catalogue, "_forced_entry", lambda pattern: None)
+    assert main(["catalogue-order4", "--samples", "1", "--json"]) == 4
+    err = capsys.readouterr().err
+    assert set(err.split("catalogue checks failed for: ")[1].strip().split(", ")) == simple
 
 
 def test_console_script_entry_point():

@@ -247,6 +247,82 @@ def test_direction_rejects_r_of_another_order():
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
+def _lstsq_in_tangent_space(N, R):
+    # the tangent test before the Williamson basis: least squares over every tangent row
+    b = sp.vec_triangle(R)
+    if not np.any(b):
+        return True
+    A = sssp._tangent_rows(N, *sssp._triangle(N.shape[0]))
+    x, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return float(np.linalg.norm(A @ x - b)) <= 1e-8 * max(1.0, float(np.linalg.norm(b)))
+
+
+def _random_hamiltonian(p, rng):
+    # Omega @ M = H is symmetric
+    H = rng.standard_normal((2 * p, 2 * p))
+    return sp.omega(p).T @ (H + H.T)
+
+
+def _tangent_cases():
+    """Random patterns, shear squares and doubled-target smears at p <= 5, each
+    with tangent and non-tangent directions, and a double eigenvalue split by a
+    relative gap outside the band, about 1e-8 to 1e-6 on this case, where the
+    two tests differ."""
+    rng = np.random.default_rng(21)
+    mats = []
+    for p in range(1, 6):
+        for density in (0.2, 0.5, 0.9):
+            n = 2 * p
+            edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                     if rng.uniform() < density]
+            mats.append(sp.random_pd_with_graph(sp.LabeledGraph.from_edges(n, edges), rng))
+        mats += [sp.shear_square(sp.path_shear_block(p)), sp.shear_square(np.ones((p, p)))]
+        mats.append(sp.random_smear([1.0, 1.0, 2.0, 0.5, 3.0][:p], seed=p))
+    cases = []
+    for N in mats:
+        p = N.shape[0] // 2
+        T = sp.tangent_element(N, _random_hamiltonian(p, rng))
+        E = rng.standard_normal(N.shape)
+        basis = sp.sp_basis(p)
+        sparse = sum(rng.standard_normal() * basis[k]
+                     for k in rng.choice(len(basis), min(2, len(basis)), replace=False))
+        cases += [(N, T), (N, sp.tangent_element(N, sparse)), (N, T + 1e-3 * (E + E.T)),
+                  (N, E + E.T), (N, np.zeros_like(N))]
+    for gap in (1e-5, 1e-8):
+        N = np.diag([1.0, 1.0 + gap, 1.0, 1.0 + gap])
+        R = np.zeros((4, 4))
+        R[0, 1] = R[1, 0] = 1.0
+        cases.append((N, R))
+    return cases
+
+
+def test_tangent_test_agrees_with_least_squares():
+    tally = {True: 0, False: 0}
+    for N, R in _tangent_cases():
+        want = _lstsq_in_tangent_space(N, R)
+        assert sp.in_tangent_space(N, R) == want
+        tally[want] += 1
+    assert tally[True] >= 60 and tally[False] >= 40, tally
+
+
+def test_tangent_test_at_p30_needs_no_least_squares(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("in_tangent_space ran a least-squares solve")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    rng = np.random.default_rng(30)
+    N = sp.random_pd(60, rng)
+    R = sp.tangent_element(N, _random_hamiltonian(30, rng))
+    E = rng.standard_normal((60, 60))
+    assert sp.in_tangent_space(N, R)
+    assert not sp.in_tangent_space(N, R + 1e-3 * (E + E.T))
+
+
+def test_tangent_test_requires_positive_definite_n():
+    with pytest.raises(sp.NotPositiveDefiniteError):
+        sp.in_tangent_space(np.diag([1.0, -1.0, 2.0, 3.0]), np.zeros((4, 4)))
+
+
 def test_tangent_element_rejects_non_hamiltonian():
     with pytest.raises(ValueError):
         sp.tangent_element(np.eye(4), np.diag([1.0, 2, 3, 4]))
@@ -350,6 +426,12 @@ def test_continuation_rejects_bad_targets():
         sp.continuation_realize(sp.empty_graph(4), [1.0, -2.0])
     with pytest.raises(ValueError):
         sp.continuation_realize(sp.empty_graph(4), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_continuation_rejects_targets_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="targets must be positive and finite"):
+        sp.continuation_realize(sp.path_graph(4), [1.0, bad])
 
 
 def test_continuation_rejects_non_pd_seed():
