@@ -200,12 +200,11 @@ def cmd_zc(args) -> dict:
 
 def cmd_catalogue(args) -> dict:
     seed = args.seed
-    entries = cat.build_order4_catalogue(seed=seed, evidence_samples=args.samples)
+    entries = cat.build_order4_catalogue(seed=seed)
     failures = [f"{e.graph}/{e.coupling_id}" for e in entries if not e.ok]
     report = {
         "command": "catalogue-order4",
         "seed": seed,
-        "evidence_samples": args.samples,
         "entries": cat.catalogue_as_dicts(entries),
         "all_checks_pass": not failures,
     }
@@ -280,10 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     zc = command("zc", cmd_zc, "coupled zero forcing number")
     zc.add_argument("graph", help="graph JSON file with a coupling")
 
-    ca = command("catalogue-order4", cmd_catalogue,
-                 "full order-4 classification with machine-checked witnesses", "--seed")
-    ca.add_argument("--samples", type=int, default=1000,
-                    help="randomized evidence sample count per simple-only entry")
+    command("catalogue-order4", cmd_catalogue,
+            "full order-4 classification with machine-checked verdicts", "--seed")
 
     command("audit-sparsity", cmd_audit_sparsity,
             "nonzero counts against the sparsity lower bounds", "--tol-zero").add_argument("matrix")

@@ -124,29 +124,24 @@ def random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
     return as_symmetric(A.T @ A + 0.2 * np.eye(n))
 
 
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _random_pd_stack(G: LabeledGraph, count: int, rng: np.random.Generator) -> np.ndarray:
-    # count positive definite matrices whose labeled graph is exactly G, stacked;
-    # the shift puts each smallest eigenvalue at or above a draw from [0.5, 1.5)
-    n = G.order
-    W = np.zeros((count, n, n))
-    for i, j in G.edges:
-        w = rng.uniform(0.2, 1.0, size=count) * _SIGNS[rng.integers(0, 2, size=count)]
-        W[:, i - 1, j - 1] = W[:, j - 1, i - 1] = w
-    lam = np.linalg.eigvalsh(W)[:, 0] if G.edges else np.zeros(count)
-    shift = np.abs(np.minimum(lam, 0.0)) + rng.uniform(0.5, 1.5, size=count)
-    return W + shift[:, None, None] * np.eye(n)
+_SIGNS = (-1.0, 1.0)
 
 
 def random_pd_with_graph(G: LabeledGraph, rng: np.random.Generator) -> np.ndarray:
     """A positive definite matrix whose labeled graph is exactly G.
 
-    Edge entries are bounded away from zero and the diagonal shift keeps the
-    smallest eigenvalue positive, so the pattern is exact by construction.
+    Each edge, in order, draws a magnitude from [0.2, 1) and then a sign, so
+    edge entries are bounded away from zero; the diagonal is then shifted to
+    put the smallest eigenvalue at a draw from [0.5, 1.5), so the pattern is
+    exact by construction.
     """
-    return _random_pd_stack(G, 1, rng)[0]
+    n = G.order
+    W = np.zeros((n, n))
+    for i, j in G.edges:
+        W[i - 1, j - 1] = W[j - 1, i - 1] = rng.uniform(0.2, 1.0) * _SIGNS[rng.integers(0, 2)]
+    lam = np.linalg.eigvalsh(W)[0] if G.edges else 0.0
+    W.flat[:: n + 1] = abs(min(lam, 0.0)) + rng.uniform(0.5, 1.5)
+    return W
 
 
 def _two_cliques_graph(p: int) -> LabeledGraph:

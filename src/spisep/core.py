@@ -102,9 +102,14 @@ def pattern_tol(N) -> float:
 
 def _nonzero(N, zero_tol: float | None) -> np.ndarray:
     """The one structural-zero rule: True where |N| > zero_tol, with
-    ``zero_tol=None`` meaning :func:`pattern_tol` of N."""
+    ``zero_tol=None`` meaning :func:`pattern_tol` of N.  A zero_tol that is
+    negative or not finite raises ValueError."""
     N = np.asarray(N, dtype=float)
-    return np.abs(N) > (pattern_tol(N) if zero_tol is None else zero_tol)
+    if zero_tol is None:
+        zero_tol = pattern_tol(N)
+    elif not 0.0 <= zero_tol < np.inf:
+        raise ValueError(f"zero_tol must be nonnegative and finite, got {zero_tol}")
+    return np.abs(N) > zero_tol
 
 
 def is_positive_definite(N) -> bool:
@@ -220,8 +225,11 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
     eigenvalues +-d, and its p positive ones are the symplectic eigenvalues.
     This keeps the pairing exact by construction instead of trusting a
     nonsymmetric eigensolver, and it is the eigensolve of :func:`williamson`,
-    so the values equal ``williamson(N).d`` bit for bit.
+    so the values equal ``williamson(N).d`` bit for bit.  A cluster_tol
+    that is negative or not finite raises ValueError.
     """
+    if not 0.0 <= cluster_tol < np.inf:
+        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
     d = _williamson_eigen(_require_pd(N))[1]
     return SymplecticSpectrum(values=tuple(float(v) for v in d), cluster_tol=cluster_tol)
 

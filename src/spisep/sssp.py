@@ -248,6 +248,22 @@ def _full_rank(A: np.ndarray, rank_tol: float) -> bool:
     return bool(s[0] > 0.0 and s[-1] > rank_tol * s[0])
 
 
+def _oracle_input(
+    N, rank_tol: float, zero_tol: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The input gate of the three SSSP oracles: the symmetrized N and the
+    0-based positions of its structural zeros, as :func:`_nonedge_pairs`.
+
+    Raises ValueError unless 0 <= rank_tol < 1, since no singular value
+    exceeds sigma_1 and a NaN decides nothing, and NotPositiveDefiniteError
+    unless N is positive definite; both before any verdict is reached.
+    """
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
+    N = _require_pd(N)
+    return (N, *_nonedge_pairs(N, zero_tol))
+
+
 def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None = None) -> bool:
     """SSSP test via row rank of the reduced verification matrix.
 
@@ -255,8 +271,7 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     (singular values above ``rank_tol`` times the largest).  The rows are
     those of ``verification_matrix(N).reduced``, built directly from N.
     """
-    N = _require_pd(N)
-    a, b = _nonedge_pairs(N, zero_tol)
+    N, a, b = _oracle_input(N, rank_tol, zero_tol)
     return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
 
 
@@ -295,8 +310,7 @@ def has_sssp_nullspace(
     :func:`has_sssp_rank`, raises NotPositiveDefiniteError unless N is
     positive definite.
     """
-    N = _require_pd(N)
-    a, b = _nonedge_pairs(N, zero_tol)
+    N, a, b = _oracle_input(N, rank_tol, zero_tol)
     if a.size == 0:
         return True, None
     A = _commutation_rows(N, a, b)
@@ -351,11 +365,10 @@ def has_sssp_in_direction(
     Like the two oracles, raises NotPositiveDefiniteError unless N is
     positive definite; R is cut at its own default tolerance.
     """
-    N = _require_pd(N)
+    N, a, b = _oracle_input(N, rank_tol, zero_tol)
     R = as_symmetric(R)
     if not in_tangent_space(N, R):
         raise ValueError("R is not in the tangent space of N")
-    a, b = _nonedge_pairs(N, zero_tol)
     keep = ~_nonzero(R, None)[a, b]
     a, b = a[keep], b[keep]
     return a.size == 0 or _full_rank(_commutation_rows(N, a, b), rank_tol)

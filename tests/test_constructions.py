@@ -4,7 +4,6 @@ import pytest
 
 import spisep as sp
 from spisep import catalogue
-from spisep.constructions import _random_pd_stack
 from spisep.core import pattern_tol
 
 B5_SQUARED = np.array(
@@ -298,33 +297,18 @@ def _single_pd_reference(G, rng, margin=(0.5, 1.5)):
     return W + shift * np.eye(n)
 
 
-def _batch_pd_reference(G, count, rng):
-    # the catalogue's evidence sampler: per edge, count magnitudes then count signs
-    n = G.order
-    W = np.zeros((count, n, n))
-    for i, j in G.edges:
-        vals = rng.uniform(0.2, 1.0, size=count) * rng.choice([-1.0, 1.0], size=count)
-        W[:, i - 1, j - 1] = W[:, j - 1, i - 1] = vals
-    lam = np.linalg.eigvalsh(W)[:, 0] if G.edges else np.zeros(count)
-    shift = np.abs(np.minimum(lam, 0.0)) + rng.uniform(0.5, 1.5, size=count)
-    return W + shift[:, None, None] * np.eye(n)
-
-
 def test_pd_sampler_is_bit_identical_to_references():
+    # two consecutive draws from one generator, as the atlas sweeps make them
     rng = np.random.default_rng(12)
-    for seed in range(300):
-        n = int(rng.integers(1, 9))
+    for seed in range(100):
+        n = int(rng.integers(1, 61))
+        prob = rng.uniform()
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 if rng.uniform() < 0.5]
+                 if rng.uniform() < prob]
         G = sp.LabeledGraph.from_edges(n, edges)
-        assert np.array_equal(
-            sp.random_pd_with_graph(G, np.random.default_rng(seed)),
-            _single_pd_reference(G, np.random.default_rng(seed)),
-        )
-        assert np.array_equal(
-            _random_pd_stack(G, 50, np.random.default_rng(seed)),
-            _batch_pd_reference(G, 50, np.random.default_rng(seed)),
-        )
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert np.array_equal(sp.random_pd_with_graph(G, got), _single_pd_reference(G, ref))
 
 
 def test_sparsity_audit_reducible_matrix():
@@ -377,16 +361,10 @@ def test_householder_all_nonzero():
         assert np.min(np.abs(B)) > 1e-8
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_catalogue_rejects_fewer_than_one_evidence_sample(samples):
-    with pytest.raises(ValueError, match="evidence_samples must be at least 1"):
-        sp.build_order4_catalogue(evidence_samples=samples)
-
-
 def test_forced_entry_fires_exactly_on_simple_only_pairs():
     # under every representative labeling, the structural rule proves each
     # simple-only verdict and fires on no pair that has a witness
-    entries = sp.build_order4_catalogue(evidence_samples=1)
+    entries = sp.build_order4_catalogue()
     assert sum(e.verdict == "simple_only" for e in entries) == 15
     rng = np.random.default_rng(18)
     for e in entries:

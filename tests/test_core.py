@@ -527,6 +527,13 @@ def test_cluster_tolerance_is_surfaced():
     assert sum(spec.multiplicities) == spec.p
 
 
+@pytest.mark.parametrize("cluster_tol", [np.nan, -1.0, np.inf])
+def test_spectrum_refuses_a_negative_or_infinite_cluster_tolerance(cluster_tol):
+    with pytest.raises(ValueError, match="cluster_tol must be nonnegative and finite"):
+        sp.symplectic_spectrum(np.eye(4), cluster_tol=cluster_tol)
+    assert sp.symplectic_spectrum(np.eye(4), cluster_tol=0.0).clusters == ((1.0, 2),)
+
+
 def _cluster_values_reference(values, cluster_tol):
     """The former per-value loop, with np.mean on each cluster."""
     vals = np.sort(np.asarray(values, dtype=float))

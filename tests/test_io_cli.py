@@ -136,6 +136,7 @@ def test_cli_tol_zero_decides_structural_zeros(tmp_path, capsys):
     ["williamson", "N.json", "--tol-cluster", "1e-3"],
     ["construct", "tripath", "--size", "2", "--tol-cluster", "1e-3"],
     ["spectrum", "N.json", "--tol-rank", "1e-3"],
+    ["catalogue-order4", "--samples", "60"],
 ])
 def test_cli_rejects_options_a_subcommand_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -172,13 +173,24 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["sssp", "N.json", "--direction", "R.json"], "R must match the order of N"),
-    (["catalogue-order4", "--samples", "0"], "evidence_samples must be at least 1"),
-    (["catalogue-order4", "--samples", "-3"], "evidence_samples must be at least 1"),
+    (["catalogue-order4", "--seed", "-1"], "seed must be nonnegative"),
+    (["catalogue-order4", "--seed", "-2"], "seed must be nonnegative"),
+    # tolerances no decision can use; each once exited 0 with a wrong answer:
+    # SSSP true for I4, three distinct values in one cluster, a double 1 split
+    # in two, 0 nonzeros
+    (["sssp", "I4.json", "--tol-rank", "nan"], "rank_tol must lie in [0, 1)"),
+    (["sssp", "I4.json", "--tol-rank", "-1"], "rank_tol must lie in [0, 1)"),
+    (["sssp", "I4.json", "--tol-zero", "nan"], "zero_tol must be nonnegative and finite"),
+    (["spectrum", "N.json", "--tol-cluster", "nan"], "cluster_tol must be nonnegative and finite"),
+    (["spectrum", "I4.json", "--tol-cluster", "-1"], "cluster_tol must be nonnegative and finite"),
+    (["audit-sparsity", "N.json", "--tol-zero", "nan"], "zero_tol must be nonnegative and finite"),
+    (["audit-sparsity", "N.json", "--tol-zero", "-1"], "zero_tol must be nonnegative and finite"),
 ])
 def test_cli_violated_preconditions_exit_3(argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_matrix("N.json", sp.random_pd(6, np.random.default_rng(0)))
     save_matrix("R.json", np.eye(4))
+    save_matrix("I4.json", np.eye(4))
     assert main(argv) == 3
     assert message in capsys.readouterr().err
 
@@ -375,10 +387,11 @@ def test_cli_audit_sparsity_reports_both_thresholds(tmp_path, capsys):
 
 
 def test_cli_catalogue_small_sample(capsys):
-    assert main(["catalogue-order4", "--samples", "60", "--json"]) == 0
+    assert main(["catalogue-order4", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["all_checks_pass"] is True
     assert len(report["entries"]) == 33
+    assert "evidence_samples" not in report
     verdicts = {(e["graph"], e["coupling_id"]): e["verdict"] for e in report["entries"]}
     assert verdicts[("paw", 1)] == "simple_only"
     assert verdicts[("paw", 2)] == "arbitrary_with_SSSP_witness"
@@ -386,11 +399,11 @@ def test_cli_catalogue_small_sample(capsys):
 
 
 def test_cli_catalogue_exits_4_when_a_simple_only_proof_fails(capsys, monkeypatch):
-    # the randomized evidence still passes, yet every simple-only entry fails without its proof
-    simple = {f"{e.graph}/{e.coupling_id}" for e in sp.build_order4_catalogue(evidence_samples=1)
+    # every simple-only entry fails without its proof
+    simple = {f"{e.graph}/{e.coupling_id}" for e in sp.build_order4_catalogue()
               if e.verdict == "simple_only"}
     monkeypatch.setattr(catalogue, "_forced_entry", lambda pattern: None)
-    assert main(["catalogue-order4", "--samples", "1", "--json"]) == 4
+    assert main(["catalogue-order4", "--json"]) == 4
     err = capsys.readouterr().err
     assert set(err.split("catalogue checks failed for: ")[1].strip().split(", ")) == simple
 

@@ -179,6 +179,33 @@ def test_complete_pattern_vacuously_passes():
     assert flag and witness is None
 
 
+@pytest.mark.parametrize("graph", [sp.empty_graph(4), sp.complete_graph(4)])
+@pytest.mark.parametrize("rank_tol", [np.nan, -1.0, -1e-300, 1.0, np.inf])
+def test_oracles_refuse_a_rank_tolerance_outside_0_1(graph, rank_tol):
+    # a complete pattern leaves nothing to test, yet the tolerance is still refused
+    N = sp.random_pd_with_graph(graph, np.random.default_rng(0))
+    for oracle in (sp.has_sssp_rank, sp.has_sssp_nullspace):
+        with pytest.raises(ValueError, match="rank_tol must lie in"):
+            oracle(N, rank_tol=rank_tol)
+    with pytest.raises(ValueError, match="rank_tol must lie in"):
+        sp.has_sssp_in_direction(N, np.zeros((4, 4)), rank_tol=rank_tol)
+
+
+@pytest.mark.parametrize("graph", [sp.empty_graph(4), sp.complete_graph(4)])
+@pytest.mark.parametrize("zero_tol", [np.nan, -1.0, np.inf, -np.inf])
+def test_structural_zero_rule_refuses_a_negative_or_infinite_tolerance(graph, zero_tol):
+    N = sp.random_pd_with_graph(graph, np.random.default_rng(0))
+    calls = [sp.has_sssp_rank, sp.has_sssp_nullspace, sp.verification_matrix,
+             sp.graph_of_matrix, sp.sparsity_audit,
+             lambda N, zero_tol: sp.has_sssp_in_direction(N, np.zeros((4, 4)), zero_tol=zero_tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="zero_tol must be nonnegative and finite"):
+            call(N, zero_tol=zero_tol)
+    # zero itself is a tolerance: every nonzero entry is an edge
+    assert sp.graph_of_matrix(N, zero_tol=0.0) == graph
+    assert sp.has_sssp_rank(N, zero_tol=0.0) == sp.has_sssp_nullspace(N, zero_tol=0.0)[0]
+
+
 def test_identity_matrices():
     assert sp.has_sssp_rank(np.eye(2))
     assert sp.has_sssp_nullspace(np.eye(2))[0]
