@@ -72,8 +72,18 @@ def omega(p: int) -> np.ndarray:
     return _omega_cached(int(p))
 
 
+def _check_tol(name: str, tol: float) -> None:
+    """The one rule for a comparison tolerance: ValueError unless it is
+    nonnegative and finite, since a NaN or negative one fails every test and
+    an infinite one passes every test."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {tol}")
+
+
 def is_symplectic(S, tol: float = 1e-8) -> bool:
-    """True iff ``S.T @ Omega @ S`` equals Omega to within ``tol`` (max norm)."""
+    """True iff ``S.T @ Omega @ S`` equals Omega to within ``tol`` (max norm).
+    A tol that is negative or not finite raises ValueError."""
+    _check_tol("tol", tol)
     S = as_square(S)
     n = S.shape[0]
     if n % 2 != 0:
@@ -107,8 +117,8 @@ def _nonzero(N, zero_tol: float | None) -> np.ndarray:
     N = np.asarray(N, dtype=float)
     if zero_tol is None:
         zero_tol = pattern_tol(N)
-    elif not 0.0 <= zero_tol < np.inf:
-        raise ValueError(f"zero_tol must be nonnegative and finite, got {zero_tol}")
+    else:
+        _check_tol("zero_tol", zero_tol)
     return np.abs(N) > zero_tol
 
 
@@ -208,7 +218,9 @@ class SymplecticSpectrum:
 
 
 def cluster_values(values, cluster_tol: float) -> tuple[tuple[float, int], ...]:
-    """Group sorted positive values into multiplicity clusters by relative gap."""
+    """Group sorted positive values into multiplicity clusters by relative gap.
+    A cluster_tol that is negative or not finite raises ValueError."""
+    _check_tol("cluster_tol", cluster_tol)
     vals = np.sort(np.asarray(values, dtype=float))
     cuts = np.flatnonzero(np.diff(vals) > cluster_tol * np.maximum(vals[1:], 1e-300)) + 1
     ends = [0, *cuts.tolist(), vals.size] if vals.size else []
@@ -228,8 +240,7 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
     so the values equal ``williamson(N).d`` bit for bit.  A cluster_tol
     that is negative or not finite raises ValueError.
     """
-    if not 0.0 <= cluster_tol < np.inf:
-        raise ValueError(f"cluster_tol must be nonnegative and finite, got {cluster_tol}")
+    _check_tol("cluster_tol", cluster_tol)
     d = _williamson_eigen(_require_pd(N))[1]
     return SymplecticSpectrum(values=tuple(float(v) for v in d), cluster_tol=cluster_tol)
 
@@ -306,8 +317,10 @@ def is_symplectic_pd(N, tol: float = 1e-8) -> bool:
     """True iff N is both symplectic and positive definite.
 
     Equivalent to all symplectic eigenvalues of N being one, and checked via
-    (Omega @ N)^2 = -I.
+    (Omega @ N)^2 = -I to within ``tol``.  A tol that is negative or not
+    finite raises ValueError.
     """
+    _check_tol("tol", tol)
     N = as_symmetric(N, even=True)
     if not _certified_pd(N):
         return False
@@ -321,8 +334,10 @@ def symplectic_pd_inverse_identity(N, tol: float = 1e-8) -> bool:
 
     N (positive definite, order 2p) is symplectic iff its inverse equals
     [[N22, -N12.T], [-N12, N11]] in the p x p block partition.  Must agree
-    with :func:`is_symplectic_pd` on every input.
+    with :func:`is_symplectic_pd` on every input, and raises ValueError on
+    the same tolerances.
     """
+    _check_tol("tol", tol)
     N = as_symmetric(N, even=True)
     if not _certified_pd(N):  # and so invertible
         return False

@@ -17,11 +17,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.optimize
 from scipy.linalg.lapack import dpotrf
+from scipy.sparse import csr_array, issparse
 
 from .core import (
     _EPS,
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
+    _check_tol,
     _nonzero,
     _require_pd,
     _williamson_columns,
@@ -34,6 +36,12 @@ from .constructions import _check_targets
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
+
+# From this Gram order min(m, k) on, the oracles' row matrices are built as CSR
+# arrays and their Gram matrices by a sparse product.  On 30%-density patterns
+# the rows are 2-6% nonzero; both oracles ran faster dense up to m = 448 and
+# sparse from m = 492 (`tools/gram_crossover.py`, seeds 0 and 1, one BLAS thread).
+_SPARSE_GRAM_ORDER = 470
 
 
 def _basis_terms(p: int) -> list[tuple[tuple[int, int, float], tuple[int, int, float]]]:
@@ -176,8 +184,37 @@ def _column_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, coefs, elems
 
 
-def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows at positions (a[t], b[t]) (0-based) of the verification matrix of N.
+def _assemble(shape: tuple[int, int], first: tuple, second: tuple) -> np.ndarray | csr_array:
+    """The matrix of two scatters, each (rows, columns, values) with index arrays
+    that broadcast to the shape of the values: first's values are written, then
+    second's added.  No position repeats within one scatter.
+
+    Below a Gram order ``min(shape)`` of ``_SPARSE_GRAM_ORDER`` the result is a
+    dense array.  From there it is a CSR array of the nonzero values only.  A
+    position both scatters hit sums the same two values either way, so
+    ``.toarray()`` equals the dense array, except that a -0.0 of the dense
+    array comes back as +0.0.
+    """
+    if min(shape) < _SPARSE_GRAM_ORDER:
+        out = np.zeros(shape)
+        out[first[0], first[1]] = first[2]
+        out[second[0], second[1]] += second[2]
+        return out
+    r, c, v = (
+        np.concatenate([np.broadcast_to(s[x], s[2].shape).ravel() for s in (first, second)])
+        for x in range(3)
+    )
+    keep = v != 0.0  # the structural zeros of N make most of the values exact zeros
+    return csr_array((v[keep], (r[keep], c[keep])), shape=shape)
+
+
+def _dense(A: np.ndarray | csr_array) -> np.ndarray:
+    return A.toarray() if issparse(A) else A
+
+
+def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | csr_array:
+    """Rows at positions (a[t], b[t]) (0-based) of the verification matrix of N,
+    dense or CSR as :func:`_assemble` chooses.
 
     Column k is M_k.T N + N M_k for the k-th element of :func:`sp_basis`.  An
     entry (r, c, v) of M_k adds v N[r, x] at position {c, x} for every x (twice
@@ -185,11 +222,12 @@ def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     p = N.shape[0] // 2
     rows, coefs, elems = _column_terms(p)
-    out = np.zeros((a.size, 2 * p * p + p))
     t = np.arange(a.size)[:, None]
-    out[t, elems[a]] = coefs[a] * N[rows[a], b[:, None]]
-    out[t, elems[b]] += coefs[b] * N[rows[b], a[:, None]]
-    return out
+    return _assemble(
+        (a.size, 2 * p * p + p),
+        (t, elems[a], coefs[a] * N[rows[a], b[:, None]]),
+        (t, elems[b], coefs[b] * N[rows[b], a[:, None]]),
+    )
 
 
 def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +237,7 @@ def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, n
     return i[keep], j[keep]
 
 
-def _certified_full_rank(A: np.ndarray, rank_tol: float) -> bool:
+def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     """A proof, from one Cholesky factorization, that sigma_min(A) > rank_tol * sigma_1(A).
 
     With A of shape (m, k), n = min(m, k), l = max(m, k), u = eps / 2 and
@@ -210,7 +248,11 @@ def _certified_full_rank(A: np.ndarray, rank_tol: float) -> bool:
 
     * ||fl(G) - G||_2 <= gamma_l || |A| |A|^T ||_2 <= gamma_l ||A||_F^2, since
       each entry is a dot product of length l (Higham, Accuracy and Stability
-      of Numerical Algorithms, 2nd ed., section 3.5);
+      of Numerical Algorithms, 2nd ed., section 3.5).  That bound holds in any
+      summation order, so it covers the sparse product of a CSR A too: each
+      entry sums at most l nonzero products, in some order, the exact zeros
+      it skips would add no rounding, and whichever triangle dpotrf reads
+      meets the same entrywise bound |fl(G) - G| <= gamma_l |A| |A|^T;
     * subtracting tau rounds each diagonal entry by at most u (f + tau);
     * a Cholesky factorization that completes gives R^T R = H + dH with
       ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1} trace(H) / (1 - gamma_{n+1})
@@ -226,16 +268,17 @@ def _certified_full_rank(A: np.ndarray, rank_tol: float) -> bool:
     caller must decide with the SVD, as it must for a zero, NaN or infinite A.
     """
     m, k = A.shape
-    G = A @ A.T if m <= k else A.T @ A
+    G = _dense(A @ A.T if m <= k else A.T @ A)
     f = np.trace(G)
     if not 0.0 < f < np.inf:  # an optimized dpotrf may complete on NaN pivots
         return False
     G.flat[:: G.shape[0] + 1] -= (rank_tol * rank_tol + 4 * (m + k) * _EPS) * f
-    # G is symmetric and C-ordered, so G.T is the same matrix in the Fortran order dpotrf reads
+    # G is C-ordered, so G.T is G in the Fortran order dpotrf reads (the transpose
+    # only decides which triangle it reads, and either one meets the bound)
     return dpotrf(G.T, clean=0, overwrite_a=1)[1] == 0
 
 
-def _full_rank(A: np.ndarray, rank_tol: float) -> bool:
+def _full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     """Whether every singular value of A exceeds ``rank_tol`` times the largest.
 
     A passing verdict is proven by :func:`_certified_full_rank`; only where
@@ -244,7 +287,7 @@ def _full_rank(A: np.ndarray, rank_tol: float) -> bool:
     """
     if _certified_full_rank(A, rank_tol):
         return True
-    s = np.linalg.svd(A, compute_uv=False)
+    s = np.linalg.svd(_dense(A), compute_uv=False)
     return bool(s[0] > 0.0 and s[-1] > rank_tol * s[0])
 
 
@@ -275,8 +318,9 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
 
 
-def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column t is Omega N Y - Y N Omega for Y = E_ab + E_ba at (a[t], b[t]).
+def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | csr_array:
+    """Column t is Omega N Y - Y N Omega for Y = E_ab + E_ba at (a[t], b[t]),
+    dense or CSR as :func:`_assemble` chooses.
 
     That matrix is symmetric, so only its upper triangle is kept, with the
     off-diagonal rows weighted by sqrt 2: the Gram matrix, hence the
@@ -291,11 +335,12 @@ def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     slot = np.empty((n, n), dtype=np.intp)
     slot[i, j] = slot[j, i] = np.arange(i.size)
     weight = np.where(np.eye(n, dtype=bool), 2.0, np.sqrt(2.0))
-    out = np.zeros((i.size, a.size))
     t = np.arange(a.size)
-    out[slot[:, b], t] = weight[:, b] * ON[:, a]
-    out[slot[:, a], t] += weight[:, a] * ON[:, b]
-    return out
+    return _assemble(
+        (i.size, a.size),
+        (slot[:, b], t, weight[:, b] * ON[:, a]),
+        (slot[:, a], t, weight[:, a] * ON[:, b]),
+    )
 
 
 def has_sssp_nullspace(
@@ -316,7 +361,7 @@ def has_sssp_nullspace(
     A = _commutation_rows(N, a, b)
     if _full_rank(A, rank_tol):
         return True, None
-    y = np.linalg.svd(A, full_matrices=False)[2][-1]
+    y = np.linalg.svd(_dense(A), full_matrices=False)[2][-1]
     W = np.zeros_like(N)
     W[a, b] = W[b, a] = y
     return False, W / np.max(np.abs(W))
@@ -441,8 +486,10 @@ def continuation_realize(
     seed matrix that is not positive definite.  An attempt whose start lies
     outside the positive definite cone counts as failed, and so does one
     that meets the spectrum but fails the PD check or loses an edge; the
-    ArithmeticError counts both kinds.
+    ArithmeticError counts both kinds.  A spectrum_tol that is negative or
+    not finite raises ValueError up front, since no attempt could meet it.
     """
+    _check_tol("spectrum_tol", spectrum_tol)
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
     p = G.order // 2

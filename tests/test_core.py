@@ -433,6 +433,16 @@ def test_symplectic_pd_examples():
     assert not sp.is_symplectic_pd(2.0 * np.eye(4))
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_symplectic_tests_refuse_a_negative_or_infinite_tolerance(tol):
+    # a NaN or negative tol made every answer False, even for the identity
+    for test in (sp.is_symplectic, sp.is_symplectic_pd, sp.symplectic_pd_inverse_identity):
+        with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+            test(np.eye(4), tol=tol)
+        # zero is a tolerance: the identity is exactly symplectic PD
+        assert test(np.eye(4), tol=0.0)
+
+
 def test_inverse_identity_matches_direct_test():
     rng = np.random.default_rng(13)
     B = sp.householder_all_nonzero(2)
@@ -531,6 +541,9 @@ def test_cluster_tolerance_is_surfaced():
 def test_spectrum_refuses_a_negative_or_infinite_cluster_tolerance(cluster_tol):
     with pytest.raises(ValueError, match="cluster_tol must be nonnegative and finite"):
         sp.symplectic_spectrum(np.eye(4), cluster_tol=cluster_tol)
+    # a directly built spectrum reaches cluster_values with the tolerance unchecked
+    with pytest.raises(ValueError, match="cluster_tol must be nonnegative and finite"):
+        sp.SymplecticSpectrum(values=(0.63, 1.64, 2.99), cluster_tol=cluster_tol).clusters
     assert sp.symplectic_spectrum(np.eye(4), cluster_tol=0.0).clusters == ((1.0, 2),)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -461,6 +462,16 @@ def test_continuation_rejects_targets_that_are_not_finite(bad):
         sp.continuation_realize(sp.path_graph(4), [1.0, bad])
 
 
+@pytest.mark.parametrize("spectrum_tol", [np.nan, -1.0, np.inf])
+def test_continuation_refuses_a_negative_or_infinite_spectrum_tolerance(spectrum_tol, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an attempt ran")
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", refuse)
+    with pytest.raises(ValueError, match="spectrum_tol must be nonnegative and finite"):
+        sp.continuation_realize(sp.path_graph(4), [1.0, 2.0], spectrum_tol=spectrum_tol)
+
+
 def test_continuation_rejects_non_pd_seed():
     G = sp.graph_of_matrix(N_PATH6)
     with pytest.raises(sp.NotPositiveDefiniteError):
@@ -813,7 +824,9 @@ def test_certificate_never_proves_a_rank_deficient_matrix(ratio):
             sigma = np.sort(rng.uniform(0.5, 1.0, n))[::-1]
             sigma[0], sigma[-1] = 1.0, ratio
             A = _with_singular_values(rng, m, k, sigma)
-            assert not sssp._certified_full_rank(A, sssp.DEFAULT_RANK_TOL), (m, k, ratio)
+            # the sparse Gram product sums in another order, and must prove no more
+            for form in (A, scipy.sparse.csr_array(A)):
+                assert not sssp._certified_full_rank(form, sssp.DEFAULT_RANK_TOL), (m, k, ratio)
 
 
 @pytest.mark.parametrize("ratio", [1e-3, 1e-1, 1.0])
@@ -821,7 +834,9 @@ def test_certificate_proves_a_well_conditioned_matrix(ratio):
     rng = np.random.default_rng(3)
     for m, k in CERTIFICATE_SHAPES:
         sigma = np.geomspace(1.0, ratio, min(m, k))
-        assert sssp._certified_full_rank(_with_singular_values(rng, m, k, sigma), 1e-9)
+        A = _with_singular_values(rng, m, k, sigma)
+        assert sssp._certified_full_rank(A, 1e-9)
+        assert sssp._certified_full_rank(scipy.sparse.csr_array(A), 1e-9)
     assert not sssp._certified_full_rank(np.zeros((3, 5)), 1e-9)
     assert not sssp._certified_full_rank(np.full((3, 5), np.nan), 1e-9)
 
@@ -909,3 +924,40 @@ def test_certified_oracles_match_the_svd_only_oracles_and_their_svd_calls(monkey
             assert got_calls == ([] if want else want_calls)
             tally[want] += 1
     assert tally[True] >= 10 and tally[False] >= 8, tally
+
+
+def _sparse_gram_cases():
+    """The benchmark-scale cases plus the failing shear squares p = 7, 8 (with no
+    direction), so both oracles' SVD fallback and witness run on CSR input."""
+    shears = [(sp.shear_square(sp.path_shear_block(p)), None) for p in (7, 8)]
+    return _benchmark_scale_cases() + shears
+
+
+def test_sparse_builders_hold_the_nonzeros_of_the_dense_rows(monkeypatch):
+    for N, _ in _sparse_gram_cases():
+        a, b = sssp._nonedge_pairs(N, None)
+        for build in (sssp._tangent_rows, sssp._commutation_rows):
+            monkeypatch.setattr(sssp, "_SPARSE_GRAM_ORDER", 10**9)
+            A = build(N, a, b)
+            monkeypatch.setattr(sssp, "_SPARSE_GRAM_ORDER", 0)
+            S = build(N, a, b)
+            assert isinstance(A, np.ndarray) and isinstance(S, scipy.sparse.csr_array)
+            assert S.nnz == np.count_nonzero(A) and S.has_canonical_format
+            # bit for bit, once + 0.0 turns the dense rows' -0.0 (a coefficient -1
+            # times a structural zero of N) into the +0.0 of a CSR array's absent entry
+            assert S.toarray().tobytes() == (A + 0.0).tobytes()
+
+
+def test_sparse_and_dense_gram_paths_give_identical_verdicts_and_witnesses(monkeypatch):
+    def outputs(order):
+        monkeypatch.setattr(sssp, "_SPARSE_GRAM_ORDER", order)
+        out = []
+        for N, R in _sparse_gram_cases():
+            flag, W = sp.has_sssp_nullspace(N)
+            out.append((sp.has_sssp_rank(N), flag, W if W is None else W.tobytes(),
+                        R is None or sp.has_sssp_in_direction(N, R)))
+        return out
+
+    dense = outputs(10**9)
+    assert outputs(0) == dense
+    assert sum(not rank for rank, *_ in dense) >= 6
