@@ -5,9 +5,10 @@
 For each p one 30%-density positive definite matrix of order 2p is drawn,
 and has_sssp_rank and has_sssp_nullspace are timed (median of ``--reps``
 calls, in ms) with ``sssp._SPARSE_GRAM_ORDER`` set above the Gram order,
-so the row matrix is dense, and to 0, so it is a CSR array; the two
-settings take turns, so a change in host speed reaches both columns.  The Gram order of both oracles is m, the number of non-edges, and
-``_SPARSE_GRAM_ORDER`` is set where the sparse column starts to win.
+so the row matrix is dense, and to 0, so it is a CSR array.  The two
+settings take turns, so a change in host speed reaches both columns.  The
+Gram order of both oracles is m, the number of non-edges, and
+``_SPARSE_GRAM_ORDER`` is set where the sparse columns start to win.
 """
 
 import argparse
