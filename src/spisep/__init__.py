@@ -40,7 +40,6 @@ from .graphs import (
     cycle_with_matching,
     empty_graph,
     enumerate_couplings,
-    family,
     graph_of_matrix,
     is_caterpillar,
     join_empty_complete_matching,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .core import _nonzero, as_symmetric
 
@@ -86,25 +87,9 @@ class LabeledGraph:
             self.order, ((sigma[i - 1], sigma[j - 1]) for i, j in self.edges)
         )
 
-    def components(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps = []
-        for s in range(1, self.order + 1):
-            if s in seen:
-                continue
-            stack, comp = [s], {s}
-            while stack:
-                v = stack.pop()
-                for u in self.neighbors(v):
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
     def is_connected(self) -> bool:
-        return len(self.components()) == 1
+        adjacency = csr_array(self.adjacency())
+        return csgraph.connected_components(adjacency, directed=False, return_labels=False) == 1
 
     def is_tree(self) -> bool:
         return self.size == self.order - 1 and self.is_connected()
@@ -346,29 +331,6 @@ def corona(H: LabeledGraph) -> CoupledGraph:
     edges = [(i, p + i) for i in range(1, p + 1)]
     edges += [(p + u, p + v) for u, v in H.edges]
     return CoupledGraph(LabeledGraph.from_edges(2 * p, edges), split_coupling(2 * p))
-
-
-FAMILIES = {
-    "empty": lambda n: empty_graph(n),
-    "complete": lambda n: complete_graph(n),
-    "path": lambda n: path_with_matching(n),
-    "cycle": lambda n: cycle_with_matching(n),
-    "complete-bipartite": lambda p: complete_bipartite_matching(p),
-    "join": lambda p: join_empty_complete_matching(p),
-    "tripath": lambda n: triangular_path(n),
-    "comb": lambda p: corona(path_graph(p)),
-    "sun": lambda p: corona(cycle_graph(p)),
-    "corona-complete": lambda p: corona(complete_graph(p)),
-}
-
-
-def family(name: str, size: int):
-    """Dispatch table for the named families (CLI front end)."""
-    try:
-        builder = FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILIES)}") from None
-    return builder(size)
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,10 @@ class VerificationMatrix:
 
 
 def verification_matrix_full(N) -> VerificationMatrix:
-    """The (2p^2+p) x (2p^2+p) matrix whose columns are vec_triangle(M.T N + N M)."""
+    """The (2p^2+p) x (2p^2+p) matrix whose columns are vec_triangle(M.T N + N M),
+    gathered from N by :func:`_tangent_rows` at every triangle position."""
     N = as_symmetric(N, even=True)
-    p = N.shape[0] // 2
-    cols = [vec_triangle(M.T @ N + N @ M) for M in sp_basis(p)]
-    return VerificationMatrix(full=np.column_stack(cols))
+    return VerificationMatrix(full=_dense(_tangent_rows(N, *_triangle(N.shape[0]))))
 
 
 def verification_matrix(N, zero_tol: float | None = None) -> VerificationMatrix:
@@ -278,6 +277,11 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     return dpotrf(G.T, clean=0, overwrite_a=1)[1] == 0
 
 
+def _svd_full_rank(s: np.ndarray, rank_tol: float) -> bool:
+    # the SVD's rank rule, on the singular values of A in descending order
+    return bool(s[0] > 0.0 and s[-1] > rank_tol * s[0])
+
+
 def _full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     """Whether every singular value of A exceeds ``rank_tol`` times the largest.
 
@@ -285,10 +289,9 @@ def _full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     that proof fails does the values-only SVD decide, so every False comes
     from the SVD.
     """
-    if _certified_full_rank(A, rank_tol):
-        return True
-    s = np.linalg.svd(_dense(A), compute_uv=False)
-    return bool(s[0] > 0.0 and s[-1] > rank_tol * s[0])
+    return _certified_full_rank(A, rank_tol) or _svd_full_rank(
+        np.linalg.svd(_dense(A), compute_uv=False), rank_tol
+    )
 
 
 def _oracle_input(
@@ -359,11 +362,14 @@ def has_sssp_nullspace(
     if a.size == 0:
         return True, None
     A = _commutation_rows(N, a, b)
-    if _full_rank(A, rank_tol):
+    if _certified_full_rank(A, rank_tol):
         return True, None
-    y = np.linalg.svd(_dense(A), full_matrices=False)[2][-1]
+    # where the proof fails, one SVD gives both the verdict and the witness
+    _, s, Vt = np.linalg.svd(_dense(A), full_matrices=False)
+    if _svd_full_rank(s, rank_tol):
+        return True, None
     W = np.zeros_like(N)
-    W[a, b] = W[b, a] = y
+    W[a, b] = W[b, a] = Vt[-1]
     return False, W / np.max(np.abs(W))
 
 

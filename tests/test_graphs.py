@@ -33,7 +33,12 @@ def test_graph_of_matrix_matches_per_entry_reference(n):
         M = rng.choice(choices, size=(n, n))
         N = np.triu(M) + np.triu(M, 1).T
         for zero_tol in (None, tol, 0.0):
-            assert sp.graph_of_matrix(N, zero_tol) == _graph_of_matrix_by_entry(N, zero_tol)
+            G = sp.graph_of_matrix(N, zero_tol)
+            assert G == _graph_of_matrix_by_entry(N, zero_tol)
+            # connectivity against networkx, on graphs of order 1 and disconnected ones too
+            T = nx.Graph(list(G.edges))
+            T.add_nodes_from(range(1, n + 1))
+            assert G.is_connected() == nx.is_connected(T)
 
 
 def test_graph_of_join_construction():
@@ -178,13 +183,6 @@ def test_complete_bipartite_matching_is_cycle_for_p2():
     CG = sp.complete_bipartite_matching(2)
     assert CG.graph.edges == frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})
     assert all(CG.graph.degree(v) == 2 for v in range(1, 5))
-
-
-def test_family_dispatch():
-    assert sp.family("tripath", 10).graph.size == 13
-    assert sp.family("complete", 5) == sp.complete_graph(5)
-    with pytest.raises(ValueError):
-        sp.family("nope", 3)
 
 
 def test_is_caterpillar():

@@ -691,14 +691,39 @@ def _oracle_cases():
     return cases
 
 
+def _reference_full(N):
+    # the verification matrix from its definition: one column per sp_basis element
+    basis = sp.sp_basis(N.shape[0] // 2)
+    return np.column_stack([sp.vec_triangle(M.T @ N + N @ M) for M in basis])
+
+
+def _sweep_cases():
+    """One 30%-density PD matrix at each of p = 10, 20, 30; from p = 16 on the
+    full matrix's triangle rows take the CSR path of the gather."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for p in (10, 20, 30):
+        n = 2 * p
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.uniform() < 0.3]
+        cases.append(sp.random_pd_with_graph(sp.LabeledGraph.from_edges(n, edges), rng))
+    return cases
+
+
 def test_direct_rows_equal_reference_reduced_rows():
-    for N in _oracle_cases():
+    # each entry is one entry of the symmetrized N or the sum of two, on either
+    # route, so the gather equals the basis route exactly, up to the sign of a zero
+    for N in map(sp.as_symmetric, _oracle_cases() + _sweep_cases()):
+        ref = _reference_full(N)
         a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))
         vm = sp.verification_matrix(N)
         assert vm.row_index == tuple((int(i) + 1, int(j) + 1) for i, j in zip(a, b))
-        np.testing.assert_allclose(sssp._tangent_rows(N, a, b), vm.reduced, rtol=0, atol=1e-13)
+        rows = b * (b + 1) // 2 + a
+        np.testing.assert_array_equal(sssp._dense(sssp._tangent_rows(N, a, b)), ref[rows])
+        np.testing.assert_array_equal(vm.reduced, ref[rows])
+        np.testing.assert_array_equal(vm.full, ref)
         j, i = np.tril_indices(N.shape[0])
-        np.testing.assert_allclose(sssp._tangent_rows(N, i, j), vm.full, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(sssp._dense(sssp._tangent_rows(N, i, j)), ref)
 
 
 def test_triangle_commutation_system_keeps_singular_values():
@@ -787,6 +812,7 @@ def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle called the reference path")
 
+    full = sssp.verification_matrix_full
     for name in ("sp_basis", "verification_matrix_full", "verification_matrix"):
         monkeypatch.setattr(sssp, name, refuse)
     shapes = []
@@ -801,7 +827,12 @@ def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
     N = sp.shear_square(sp.path_shear_block(3))  # fails, so the witness path runs too
     assert not sp.has_sssp_rank(N)
     assert not sp.has_sssp_nullspace(N)[0]
-    assert len(shapes) == 3 and max(max(s) for s in shapes) <= 6 * 7 // 2
+    # one values-only SVD for the rank verdict, one for the nullspace verdict and witness
+    assert len(shapes) == 2 and max(max(s) for s in shapes) <= 6 * 7 // 2
+    # the public verification matrices read the gathered rows, not the basis
+    monkeypatch.setattr(sssp, "verification_matrix_full", full)
+    vm = sp.verification_matrix(N)
+    assert vm.full.shape == (21, 21) and vm.reduced.shape == (8, 21)
 
 
 def _with_singular_values(rng, m, k, sigma):
@@ -920,7 +951,12 @@ def test_certified_oracles_match_the_svd_only_oracles_and_their_svd_calls(monkey
                 assert (got_W is None) == (W is None)
                 assert W is None or got_W.tobytes() == W.tobytes()
             assert got == want
-            # a pass is proven without any SVD; a failure makes exactly the reference's calls
+            # a pass is proven without any SVD; a failure makes exactly the reference's
+            # calls, except that the nullspace oracle makes only the reference's witness
+            # SVD and decides from its values
+            if oracle is sp.has_sssp_nullspace and not want:
+                want_calls = [c for c in want_calls if c[1:3] == (False, True)]
+                assert len(want_calls) == 1
             assert got_calls == ([] if want else want_calls)
             tally[want] += 1
     assert tally[True] >= 10 and tally[False] >= 8, tally
