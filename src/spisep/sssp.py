@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csr_array, issparse
 
@@ -23,7 +22,6 @@ from .core import (
     _EPS,
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
-    _check_tol,
     _nonzero,
     _require_pd,
     _williamson_columns,
@@ -458,9 +456,37 @@ def direct_sum_interleave(P, Q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # each start puts entries of size up to _EDGE_SCALE * min(target) on the edges
-# (on every free entry, as jitter, for a seed matrix); at most _MAX_ATTEMPTS starts
+# (on every free entry, as jitter, for a seed matrix); at most _MAX_ATTEMPTS
+# starts of at most _MAX_STEPS Gauss-Newton steps, whose line search gives up
+# below the step fraction _MIN_STEP; a realization has |d - target| <= _SPECTRUM_TOL
 _EDGE_SCALE = 1e-2
 _MAX_ATTEMPTS = 8
+_MAX_STEPS = 100
+_MIN_STEP = 1e-10
+_SPECTRUM_TOL = 1e-6
+# targets within this relative gap get pair rows: without them the loop began
+# to fail at relative gaps of about 2e-5 and below, and realize-ladder's
+# smallest relative gap, 2.5e-3, lies above it, so its rows are unchanged
+_PAIR_GAP = 1e-3
+
+
+def _spectral_rows(S: np.ndarray, rows, cols, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Derivatives over the free entries (rows, cols) of N of H = (U.T N U +
+    V.T N V) / 2 + i (U.T N V - V.T N U) / 2 in the fixed basis U, V = S[:, :p],
+    S[:, p:]: rows for H_jj, then Re and Im of H_kl for each pair (k, l).
+
+    For the Williamson S of N, H = diag(d) and dH_jj is the gradient of a
+    simple d_j (Bhatia and Jain, J. Math. Phys. 2015).  Repeated d are not
+    smooth, but H_kl = 0 is (Friedland, Nocedal and Overton, SIAM J. Numer.
+    Anal. 24, 1987).
+    """
+    p = S.shape[0] // 2
+    Ur, Uc, Vr, Vc = S[rows, :p], S[cols, :p], S[rows, p:], S[cols, p:]
+    re = Ur[:, k] * Uc[:, l] + Uc[:, k] * Ur[:, l] + Vr[:, k] * Vc[:, l] + Vc[:, k] * Vr[:, l]
+    im = Ur[:, k] * Vc[:, l] + Uc[:, k] * Vr[:, l] - Vr[:, k] * Uc[:, l] - Vc[:, k] * Ur[:, l]
+    # a diagonal entry moves one entry of N, an edge entry moves two
+    half = np.where(rows == cols, 0.5, 1.0)[:, None]
+    return (np.hstack([Ur * Uc + Vr * Vc, 0.5 * re, 0.5 * im]) * half).T
 
 
 def continuation_realize(
@@ -468,34 +494,29 @@ def continuation_realize(
     target,
     rng: np.random.Generator | None = None,
     seed_matrix=None,
-    spectrum_tol: float = 1e-6,
 ) -> np.ndarray:
     """Realize a target symplectic spectrum on a pattern by local optimization.
 
     Starts from diag(target, target) (an exact realization on the empty
     subgraph) with small random values on the edges of G, then moves the free
-    entries (diagonal plus edges) by least squares, on the exact Jacobian of
-    the spectrum, until it matches the target.  Existence near the seed
+    entries (diagonal plus edges) by Gauss-Newton steps on the exact Jacobian
+    of the spectrum until it matches the target.  Existence near the seed
     holds whenever the seed has the SSSP, e.g. for distinct targets; this
     routine supplies the witness.
 
-    Each step is the minimum-norm Gauss-Newton step lstsq(J, -f) when it
-    fits in a dogleg trust region (least_squares' dogbox with no bounds),
-    so convergence near a solution is quadratic.  There are fewer residuals
-    (p) than free entries (2p + |E|), and least_squares' trf then never
-    takes a Gauss-Newton step: each of its steps ends on the trust-region
-    boundary, and it converges only linearly.
+    Each step is the minimum-norm lstsq(J, -f), halved until it stays in the
+    positive definite cone and decreases |f|; one Williamson form per trial
+    point gives both f and J.  Targets within a relative gap of 1e-3 add the
+    pair rows of :func:`_spectral_rows`, so repeated targets converge too.
 
     Returns a positive definite matrix with labeled graph exactly G and
-    spectrum within ``spectrum_tol`` of the target; raises ArithmeticError
-    if no attempt converges, and NotPositiveDefiniteError up front for a
-    seed matrix that is not positive definite.  An attempt whose start lies
-    outside the positive definite cone counts as failed, and so does one
-    that meets the spectrum but fails the PD check or loses an edge; the
-    ArithmeticError counts both kinds.  A spectrum_tol that is negative or
-    not finite raises ValueError up front, since no attempt could meet it.
+    spectrum within 1e-6 of the target; raises ArithmeticError if no attempt
+    converges, and NotPositiveDefiniteError up front for a seed matrix that
+    is not positive definite.  An attempt whose start lies outside the
+    positive definite cone counts as failed, and so does one that meets the
+    spectrum but fails the PD check or loses an edge; the ArithmeticError
+    counts both kinds.
     """
-    _check_tol("spectrum_tol", spectrum_tol)
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
     p = G.order // 2
@@ -506,40 +527,28 @@ def continuation_realize(
         rng = np.random.default_rng(0)
 
     free = [(i, i) for i in range(1, G.order + 1)] + sorted(G.edges)
-    n_diag = G.order
     rows, cols = (np.array(ix) - 1 for ix in zip(*free))
-    # a diagonal entry moves one entry of N, an edge entry moves two
-    half = np.where(rows == cols, 0.5, 1.0)
+    k, l = np.triu_indices(p, 1)
+    near = target[l] - target[k] <= _PAIR_GAP * target[l]
+    k, l = k[near], l[near]
+    pair_zeros = np.zeros(2 * k.size)
 
     def build(x: np.ndarray) -> np.ndarray:
         N = np.zeros((G.order, G.order))
         N[rows, cols] = N[cols, rows] = x
         return N
 
-    solved = [None, None]  # the last x the residual solved, and its Williamson factor
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        # a trial point outside the PD cone, or one whose eigensolve fails, is a
-        # non-finite step, which the trust region rejects and shrinks from as it
-        # does a poor one; so an unconverged run ends only in ArithmeticError
+    def solve(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        # the residual (H_kl is 0 in the Williamson basis) and the Williamson
+        # factor at x, or None outside the PD cone or where the eigensolve fails
+        nonlocal solves
+        solves += 1
         try:
             d, S = _williamson_columns(build(x))
         except (NotPositiveDefiniteError, np.linalg.LinAlgError):
-            return np.full(p, np.inf)
-        solved[:] = x.copy(), S
-        return d - target
+            return None
+        return np.concatenate([d - target, pair_zeros]), S
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        # d d_k = (u_k.T dN u_k + v_k.T dN v_k) / 2 for a simple eigenvalue
-        # d_k, with u_k, v_k columns k and k + p of the Williamson factor
-        # (Bhatia and Jain, J. Math. Phys. 2015); the trust region asks for
-        # it only at accepted points, which lie inside the PD cone and were
-        # solved by the residual just before
-        S = solved[1] if np.array_equal(x, solved[0]) else _williamson_columns(build(x))[1]
-        U, V = S[:, :p], S[:, p:]
-        return ((U[rows] * U[cols] + V[rows] * V[cols]) * half[:, None]).T
-
-    base_diag = np.concatenate([target, target])
     scale = _EDGE_SCALE * float(np.min(target))
     if seed_matrix is not None:
         seed_matrix = np.asarray(seed_matrix, dtype=float)
@@ -549,30 +558,36 @@ def continuation_realize(
             raise NotPositiveDefiniteError("seed matrix is not positive definite")
         seed_x = seed_matrix[rows, cols]
     last_err = np.inf
-    runs = nfev = njev = rejected = 0
+    runs = steps = solves = rejected = 0
     for attempt in range(_MAX_ATTEMPTS):
         if seed_matrix is not None:
             jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
-            x0 = seed_x + jitter
+            x = seed_x + jitter
         else:
-            x0 = np.concatenate(
-                [
-                    base_diag,
-                    scale * rng.choice([-1.0, 1.0], size=len(free) - n_diag)
-                    * rng.uniform(0.5, 1.0, size=len(free) - n_diag),
-                ]
-            )
-        if not np.isfinite(residual(x0)).all():
+            edges = scale * rng.choice([-1.0, 1.0], size=len(G.edges))
+            x = np.concatenate([target, target, edges * rng.uniform(0.5, 1.0, len(G.edges))])
+        point = solve(x)
+        if point is None:
             continue
-        sol = scipy.optimize.least_squares(
-            residual, x0, jac=jacobian, method="dogbox", xtol=1e-15, ftol=1e-15,
-            gtol=1e-15, max_nfev=400 * (len(free) + 1),
-        )
-        runs, nfev, njev = runs + 1, nfev + sol.nfev, njev + sol.njev
-        N = build(sol.x)
-        err = float(np.max(np.abs(sol.fun)))
+        runs += 1
+        f, S = point
+        for _ in range(_MAX_STEPS):
+            if np.max(np.abs(f)) <= 8 * _EPS * G.order * target[-1]:
+                break
+            s = np.linalg.lstsq(_spectral_rows(S, rows, cols, k, l), -f, rcond=None)[0]
+            steps += 1
+            norm, alpha = np.linalg.norm(f), 1.0
+            while alpha >= _MIN_STEP:
+                point = solve(x + alpha * s)
+                if point is not None and np.linalg.norm(point[0]) <= (1 - 1e-4 * alpha) * norm:
+                    break
+                alpha /= 2
+            else:
+                break
+            x, (f, S) = x + alpha * s, point
+        N, err = build(x), float(np.max(np.abs(f)))
         last_err = min(last_err, err)
-        if err <= spectrum_tol:
+        if err <= _SPECTRUM_TOL:
             if is_positive_definite(N) and graph_of_matrix(N) == G:
                 return N
             rejected += 1
@@ -580,5 +595,5 @@ def continuation_realize(
         f"continuation did not converge on this pattern (best residual {last_err:.3e}"
         f" after {_MAX_ATTEMPTS} attempts, {_MAX_ATTEMPTS - runs} of them starting outside"
         f" the PD cone and {rejected} meeting the spectrum but failing the PD check or"
-        f" losing an edge; least squares made {nfev} residual and {njev} Jacobian evaluations)"
+        f" losing an edge; Gauss-Newton took {steps} steps and {solves} Williamson solves)"
     )

@@ -444,7 +444,7 @@ def test_criterion_14_all_patterns_realize_distinct_targets():
                 target = np.sort(rng.uniform(0.5, 3.0, p))
                 while p > 1 and np.min(np.diff(target)) < 0.1:
                     target = np.sort(rng.uniform(0.5, 3.0, p))
-                N = sp.continuation_realize(G, target, rng=rng, spectrum_tol=1e-6)
+                N = sp.continuation_realize(G, target, rng=rng)
                 assert sp.graph_of_matrix(N) == G
                 np.testing.assert_allclose(
                     sp.symplectic_spectrum(N).as_array(), target, atol=1e-6
