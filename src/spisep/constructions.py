@@ -223,6 +223,8 @@ def jacobi_from_spectrum(values) -> np.ndarray:
     """
     lam = np.sort(np.asarray(values, dtype=float))
     p = lam.size
+    if p == 0:
+        raise ValueError("values must not be empty")
     if p > 1 and np.min(np.diff(lam)) <= 0:
         raise ValueError("values must be distinct")
     if p == 1:

@@ -122,23 +122,41 @@ def _nonzero(N, zero_tol: float | None) -> np.ndarray:
     return np.abs(N) > zero_tol
 
 
+def _cholesky_proves(H: np.ndarray, shift: float) -> bool:
+    """Whether dpotrf completes on H with its diagonal lowered by shift * trace H.
+    H is overwritten.
+
+    With H symmetric of order n and Fortran-ordered (a C-ordered array passed
+    as its transpose), u = eps / 2 and gamma_j = j u / (1 - j u): f =
+    fl(trace H) must be positive and finite, H's diagonal is lowered by tau =
+    shift f, and True is returned only when LAPACK's dpotrf completes on the
+    result.  Then every shifted diagonal entry is positive, so each unshifted
+    one lies in (0, trace H] and the subtraction rounds it by at most u (f +
+    tau); the factorization gives R^T R = H - tau I + dH with ||dH||_2 <=
+    gamma_{n+1} ||R||_F^2 <= gamma_{n+1} f (1 + O(u)) (Demmel, "On floating
+    point errors in Cholesky", 1989; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 10.1).  So lambda_min(H) >= tau -
+    (n + 2) u f (1 + O(u)), and no factorization completes once tau >= f.  A
+    trace that is zero, negative, infinite or NaN returns False, since an
+    optimized dpotrf may complete on NaN pivots.
+    """
+    f = H.trace()
+    if not 0.0 < f < np.inf:
+        return False
+    H.flat[:: H.shape[0] + 1] -= shift * f
+    return dpotrf(H, clean=0, overwrite_a=1)[1] == 0
+
+
 def is_positive_definite(N) -> bool:
     """Positive definiteness, proven by one Cholesky factorization of a shifted N.
 
-    With N symmetric of order n, u = eps / 2 and gamma_j = j u / (1 - j u),
-    f = fl(trace N) must be positive and finite, N's diagonal is lowered by
-    tau = 4 (n + 1) eps f, and True is returned only when LAPACK's dpotrf
-    completes on the result H.  Then every diagonal entry of H is positive,
-    so 0 < N_ii <= trace N and the subtraction rounds each by at most
-    u trace N; the factorization gives R^T R = H + dH with ||dH||_2 <=
-    gamma_{n+1} ||R||_F^2 <= gamma_{n+1} trace(N) (1 + O(u)) (Demmel, "On
-    floating point errors in Cholesky", 1989; Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., section 10.1); and f >= trace(N) (1 -
-    gamma_n).  So lambda_min(N) >= tau - (n + 2) u trace(N) (1 + O(u)) > 0,
-    the shift covering every rounding term at least four times over, and
-    True proves N positive definite.  N may be refused when its smallest
-    eigenvalue lies within about tau of zero, when it is empty and when its
-    trace overflows; infs or NaNs raise ValueError.
+    :func:`_cholesky_proves` runs on N of order n with shift 4 (n + 1) eps,
+    and f = fl(trace N) >= trace(N) (1 - gamma_n).  So lambda_min(N) >=
+    4 (n + 1) eps f - (n + 2) u trace(N) (1 + O(u)) > 0, the shift covering
+    every rounding term at least four times over, and True proves N positive
+    definite.  N may be refused when its smallest eigenvalue lies within
+    about the shift of zero, when it is empty and when its trace overflows;
+    infs or NaNs raise ValueError.
     """
     return _certified_pd(as_symmetric(N))
 
@@ -147,20 +165,7 @@ def _certified_pd(N: np.ndarray) -> bool:
     # is_positive_definite's proof on an exactly symmetric N
     if not np.isfinite(N).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    f = N.trace()
-    if not 0.0 < f < np.inf:
-        return False
-    H = N.copy(order="F")
-    H.flat[:: N.shape[0] + 1] -= 4 * (N.shape[0] + 1) * _EPS * f
-    return dpotrf(H, clean=0, overwrite_a=1)[1] == 0
-
-
-def _cholesky(N: np.ndarray) -> np.ndarray:
-    # the lower factor L of N = L L.T, unshifted, or NotPositiveDefiniteError
-    L, info = dpotrf(N, lower=1)
-    if info != 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return L
+    return _cholesky_proves(N.copy(order="F"), 4 * (N.shape[0] + 1) * _EPS)
 
 
 def _require_pd(N) -> np.ndarray:
@@ -169,19 +174,6 @@ def _require_pd(N) -> np.ndarray:
     if not _certified_pd(N):
         raise NotPositiveDefiniteError("matrix is not positive definite")
     return N
-
-
-def _cholesky_form(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Cholesky factor L of N = L L.T and K = L.T Omega L.
-
-    K is exactly skew-symmetric and similar to Omega N, so its eigenvalues
-    are +-i d for the symplectic eigenvalues d of N.  Raises
-    NotPositiveDefiniteError when N cannot be factored.
-    """
-    L = _cholesky(N)
-    p = N.shape[0] // 2
-    M = L[:p].T @ L[p:]  # Omega L stacks L[p:] over -L[:p]
-    return L, M - M.T
 
 
 @dataclass(frozen=True)
@@ -261,15 +253,19 @@ class WilliamsonPair:
 
 
 def _williamson_eigen(N: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Cholesky factor L of N, the ascending symplectic eigenvalues d of
-    N and the eigenvectors W of i K for d, with K = L.T @ Omega @ L.
+    """The Cholesky factor L of N = L @ L.T, the ascending symplectic
+    eigenvalues d of N and the eigenvectors W of i K for d.
 
-    The eigenvalues of the Hermitian i K are -d descending, then d
+    K = L.T @ Omega @ L is exactly skew-symmetric and similar to Omega @ N,
+    so the eigenvalues of the Hermitian i K are -d descending, then d
     ascending.  Raises NotPositiveDefiniteError when N cannot be factored.
     """
-    L, K = _cholesky_form(N)
+    L, info = dpotrf(N, lower=1)
+    if info != 0:
+        raise NotPositiveDefiniteError("matrix is not positive definite")
     p = N.shape[0] // 2
-    w, W, info = zheevd(1j * K)
+    M = L[:p].T @ L[p:]  # Omega L stacks L[p:] over -L[:p]
+    w, W, info = zheevd(1j * (M - M.T))
     if info != 0 or not w[p] > 0:
         raise np.linalg.LinAlgError("eigendecomposition of iK failed in Williamson form")
     return L, w[p:], W[:, p:]

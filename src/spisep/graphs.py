@@ -150,18 +150,21 @@ class Coupling:
         raise KeyError(v)
 
 
+def _half_order(n: int) -> int:
+    # the number p of coupled pairs on n = 2p vertices, or ValueError
+    if n < 0 or n % 2 != 0:
+        raise ValueError(f"n must be even and nonnegative, got {n}")
+    return n // 2
+
+
 def matching_coupling(n: int) -> Coupling:
     """The coupling pairing consecutive vertices (1,2), (3,4), ..."""
-    if n % 2 != 0:
-        raise ValueError("n must be even")
-    return Coupling.from_pairs((2 * k + 1, 2 * k + 2) for k in range(n // 2))
+    return Coupling.from_pairs((2 * k + 1, 2 * k + 2) for k in range(_half_order(n)))
 
 
 def split_coupling(n: int) -> Coupling:
     """The coupling pairing i with i + p, the index pairing of the symplectic form."""
-    if n % 2 != 0:
-        raise ValueError("n must be even")
-    p = n // 2
+    p = _half_order(n)
     return Coupling.from_pairs((i, i + p) for i in range(1, p + 1))
 
 
@@ -192,8 +195,7 @@ _LABELING_GUARD = 5
 
 def enumerate_couplings(n: int) -> list[Coupling]:
     """All (n-1)!! perfect pairings of {1..n}.  Guarded against blowup."""
-    if n % 2 != 0:
-        raise ValueError("n must be even")
+    _half_order(n)
     if n > _ENUMERATION_GUARD:
         raise ValueError(f"n={n} exceeds the enumeration guard {_ENUMERATION_GUARD}")
 
@@ -293,6 +295,8 @@ def path_shear_block(p: int) -> np.ndarray:
 
     Shearing by this block produces the triangular-path pattern below.
     """
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
     B = np.zeros((p, p))
     for i in range(p - 1):
         B[i, i + 1] = B[i + 1, i] = 1.0

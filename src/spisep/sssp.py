@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csr_array, issparse
 
 from .core import (
     _EPS,
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
+    _cholesky_proves,
     _nonzero,
     _require_pd,
     _williamson_columns,
@@ -240,39 +240,30 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     With A of shape (m, k), n = min(m, k), l = max(m, k), u = eps / 2 and
     gamma_j = j u / (1 - j u): G is the n x n Gram matrix of A and
     f = fl(trace G) >= ||A||_F^2 (1 - gamma_{n+l}) >= sigma_1^2 (1 - gamma_{n+l}).
-    G's diagonal is lowered by tau = (rank_tol^2 + 4 (m + k) eps) f, and True
-    is returned only when LAPACK's dpotrf completes on the result H.  Then
-
-    * ||fl(G) - G||_2 <= gamma_l || |A| |A|^T ||_2 <= gamma_l ||A||_F^2, since
-      each entry is a dot product of length l (Higham, Accuracy and Stability
-      of Numerical Algorithms, 2nd ed., section 3.5).  That bound holds in any
-      summation order, so it covers the sparse product of a CSR A too: each
-      entry sums at most l nonzero products, in some order, the exact zeros
-      it skips would add no rounding, and whichever triangle dpotrf reads
-      meets the same entrywise bound |fl(G) - G| <= gamma_l |A| |A|^T;
-    * subtracting tau rounds each diagonal entry by at most u (f + tau);
-    * a Cholesky factorization that completes gives R^T R = H + dH with
-      ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1} trace(H) / (1 - gamma_{n+1})
-      (Demmel, "On floating point errors in Cholesky", 1989; Higham,
-      section 10.1), so lambda_min(H) >= -gamma_{n+1} f (1 + O(u)).
+    :func:`core._cholesky_proves` runs on G with shift rank_tol^2 + 4 (m + k) eps,
+    so a True gives lambda_min(fl(G)) >= tau - (n + 2) u f (1 + O(u)) for
+    tau = (rank_tol^2 + 4 (m + k) eps) f.  The Gram matrix adds its own rounding:
+    ||fl(G) - G||_2 <= gamma_l || |A| |A|^T ||_2 <= gamma_l ||A||_F^2, since
+    each entry is a dot product of length l (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.5).  That bound holds in any
+    summation order, so it covers the sparse product of a CSR A too: each entry
+    sums at most l nonzero products, in some order, the exact zeros it skips
+    would add no rounding, and whichever triangle dpotrf reads meets the same
+    entrywise bound |fl(G) - G| <= gamma_l |A| |A|^T.
 
     Together, lambda_min(A A^T or A^T A) >= tau - (m + k + 3) u f (1 + O(u))
     > rank_tol^2 f >= rank_tol^2 sigma_1^2, the 4 (m + k) eps margin covering
-    every rounding term above at least four times over (and no factorization
-    completes once tau >= f, so rank_tol >= 1 is never proven).  So True
-    proves sigma_min > rank_tol * sigma_1, by a margin far wider than the
-    values-only SVD's own O(eps sigma_1) error.  False proves nothing, and the
-    caller must decide with the SVD, as it must for a zero, NaN or infinite A.
+    every rounding term above at least four times over (and rank_tol >= 1 is
+    never proven).  So True proves sigma_min > rank_tol * sigma_1, by a margin
+    far wider than the values-only SVD's own O(eps sigma_1) error.  False
+    proves nothing, and the caller must decide with the SVD, as it must for a
+    zero, NaN or infinite A.
     """
     m, k = A.shape
     G = _dense(A @ A.T if m <= k else A.T @ A)
-    f = np.trace(G)
-    if not 0.0 < f < np.inf:  # an optimized dpotrf may complete on NaN pivots
-        return False
-    G.flat[:: G.shape[0] + 1] -= (rank_tol * rank_tol + 4 * (m + k) * _EPS) * f
     # G is C-ordered, so G.T is G in the Fortran order dpotrf reads (the transpose
     # only decides which triangle it reads, and either one meets the bound)
-    return dpotrf(G.T, clean=0, overwrite_a=1)[1] == 0
+    return _cholesky_proves(G.T, rank_tol * rank_tol + 4 * (m + k) * _EPS)
 
 
 def _svd_full_rank(s: np.ndarray, rank_tol: float) -> bool:

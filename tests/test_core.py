@@ -130,6 +130,22 @@ def test_positive_definite_matches_ldl_reference():
     assert any(verdicts) and not all(verdicts)
 
 
+@pytest.mark.parametrize("shift", [4 * 6 * core._EPS, 1e-18 + 4 * 40 * core._EPS, 1e-2])
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_cholesky_proves_exactly_above_the_shifted_boundary(shift, layout):
+    # diagonal H with lambda_min = shift * trace H * (1 +- 1e-3), placed last,
+    # so only a shift written through to H's own diagonal refuses the low case
+    rest = np.array([1.0, 2.0, 3.0, 5.0])
+    verdicts = []
+    for rel in (1 - 1e-3, 1 + 1e-3):
+        a = shift * rel
+        lam = a * rest.sum() / (1 - a)  # lam = a * (rest.sum() + lam)
+        H = np.diag(np.append(rest, lam))
+        H = H.copy(order="F") if layout == "fortran" else np.ascontiguousarray(H).T
+        verdicts.append(core._cholesky_proves(H, shift))
+    assert verdicts == [False, True]
+
+
 def test_positive_definite_rejects_non_finite():
     with pytest.raises(ValueError):
         sp.is_positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))
@@ -184,10 +200,19 @@ def test_spectrum_is_the_williamson_eigensolve():
         assert sp.symplectic_spectrum(N).values == sp.williamson(N).d
 
 
+def _cholesky_skew(N):
+    # the lower factor L of N = L L.T and K = L.T Omega L = M - M.T, M = L[:p].T L[p:]
+    L, info = scipy.linalg.lapack.dpotrf(N, lower=1)
+    assert info == 0
+    p = N.shape[0] // 2
+    M = L[:p].T @ L[p:]
+    return L, M - M.T
+
+
 def _spectrum_dgesdd_reference(N):
     """The former spectrum route: the paired singular values of K by LAPACK's
     dgesdd, each pair averaged, sorted ascending."""
-    K = core._cholesky_form(sp.as_symmetric(N))[1]
+    K = _cholesky_skew(sp.as_symmetric(N))[1]
     s = scipy.linalg.lapack.dgesdd(K, compute_uv=0)[1]  # descending, in pairs
     return np.sort(0.5 * (s[0::2] + s[1::2]))
 
@@ -380,7 +405,7 @@ def test_williamson_of_a_nearly_symplectic_identity(n, eps):
 def _williamson_schur_reference(N):
     # the Williamson form from the real Schur form of K, whose 2x2 blocks
     # carry d, with the block vectors reassembled into S
-    L, K = core._cholesky_form(sp.as_symmetric(N))
+    L, K = _cholesky_skew(sp.as_symmetric(N))
     T, _, _, _, Z, _, info = scipy.linalg.lapack.dgees(lambda re, im: 0, K)
     assert info == 0
     d = T.diagonal(1)[::2]  # block k holds d at (2k, 2k + 1): K z_2k = -d z_2k+1

@@ -120,6 +120,19 @@ def test_enumerate_couplings_double_factorial(n, count):
     assert all(c == sp.Coupling.from_pairs(c.pairs) for c in couplings)
 
 
+@pytest.mark.parametrize("build,arg", [
+    (sp.enumerate_couplings, -2),
+    (sp.matching_coupling, -2),
+    (sp.split_coupling, -2),
+    (sp.enumerate_couplings, 3),
+    (sp.path_shear_block, 0),
+    (sp.jacobi_from_spectrum, []),
+])
+def test_builders_refuse_an_invalid_size(build, arg):
+    with pytest.raises(ValueError):
+        build(arg)
+
+
 def test_enumerate_couplings_returns_a_fresh_list():
     first = sp.enumerate_couplings(6)
     expected = list(first)
