@@ -225,6 +225,8 @@ def jacobi_from_spectrum(values) -> np.ndarray:
     p = lam.size
     if p == 0:
         raise ValueError("values must not be empty")
+    if not np.isfinite(lam).all():
+        raise ValueError("values must be finite")
     if p > 1 and np.min(np.diff(lam)) <= 0:
         raise ValueError("values must be distinct")
     if p == 1:

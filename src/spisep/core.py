@@ -138,7 +138,9 @@ def _cholesky_proves(H: np.ndarray, shift: float) -> bool:
     Numerical Algorithms, 2nd ed., section 10.1).  So lambda_min(H) >= tau -
     (n + 2) u f (1 + O(u)), and no factorization completes once tau >= f.  A
     trace that is zero, negative, infinite or NaN returns False, since an
-    optimized dpotrf may complete on NaN pivots.
+    optimized dpotrf may complete on NaN pivots.  Only the diagonal and the
+    upper triangle of H are read, so H is the symmetric matrix of that
+    triangle whatever its lower one holds.
     """
     f = H.trace()
     if not 0.0 < f < np.inf:

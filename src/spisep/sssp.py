@@ -36,10 +36,18 @@ from .graphs import LabeledGraph, graph_of_matrix
 DEFAULT_RANK_TOL = 1e-9
 
 # From this Gram order min(m, k) on, the oracles' row matrices are built as CSR
-# arrays and their Gram matrices by a sparse product.  On 30%-density patterns
-# the rows are 2-6% nonzero; both oracles ran faster dense up to m = 448 and
-# sparse from m = 492 (`tools/gram_crossover.py`, seeds 0 and 1, one BLAS thread).
+# arrays and the lower triangles of their Gram matrices by sparse products of
+# row blocks (see _gram).  On 30%-density patterns the rows are 2-6% nonzero.
+# In `tools/gram_crossover.py` (seeds 0 and 1, two runs each, one BLAS thread)
+# both oracles ran faster dense up to m = 448 and sparse from m = 631; in between
+# the nullspace oracle ran faster sparse and the rank oracle up to 7% slower.
+# From m = 340 on, the sparse path's traced peak is 0.5-0.7 of the dense
+# path's: 14.5-15.6 against 28.8-29.5 MiB at m = 1230-1251.
 _SPARSE_GRAM_ORDER = 470
+
+# The Gram rows one sparse product of _gram forms; 256 gave the same peak RSS
+# on sssp-ladder within 0.4 MB.
+_GRAM_BLOCK = 128
 
 
 def _basis_terms(p: int) -> list[tuple[tuple[int, int, float], tuple[int, int, float]]]:
@@ -187,10 +195,12 @@ def _assemble(shape: tuple[int, int], first: tuple, second: tuple) -> np.ndarray
     second's added.  No position repeats within one scatter.
 
     Below a Gram order ``min(shape)`` of ``_SPARSE_GRAM_ORDER`` the result is a
-    dense array.  From there it is a CSR array of the nonzero values only.  A
-    position both scatters hit sums the same two values either way, so
-    ``.toarray()`` equals the dense array, except that a -0.0 of the dense
-    array comes back as +0.0.
+    dense array, whose Gram matrix is one dense product.  From there it is a
+    CSR array of the nonzero values only, whose Gram matrix :func:`_gram` forms
+    by row blocks, only the triangle that dpotrf reads.  A position both
+    scatters hit sums the same two values either way, so ``.toarray()``
+    equals the dense array, except that a -0.0 of the dense array comes back
+    as +0.0.
     """
     if min(shape) < _SPARSE_GRAM_ORDER:
         out = np.zeros(shape)
@@ -234,6 +244,30 @@ def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, n
     return i[keep], j[keep]
 
 
+def _gram(A: np.ndarray | csr_array) -> np.ndarray:
+    """The n x n Gram matrix of A, n = min(A.shape), C-ordered: A A^T or A^T A.
+
+    A dense A gives the whole product.  A CSR A gives only the lower triangle
+    and the upper parts of the diagonal blocks: with R the CSR rows of A, or
+    of A^T when m > k, one row per Gram index, each block of ``_GRAM_BLOCK``
+    rows is G[s:e, :e] = R[s:e] R[:e]^T.  So at most one block of the product
+    is held sparse at a time, and the pages of G right of the blocks are never
+    written.  SciPy's sparse product runs Gustavson's row-by-row algorithm,
+    which sums entry (i, j) over the columns rows i and j share, in ascending
+    order, so each entry equals the full product's bit for bit.
+    """
+    m, k = A.shape
+    if not issparse(A):
+        return A @ A.T if m <= k else A.T @ A
+    R = A if m <= k else A.T.tocsr()
+    n = R.shape[0]
+    G = np.zeros((n, n))
+    for s in range(0, n, _GRAM_BLOCK):
+        e = min(s + _GRAM_BLOCK, n)
+        G[s:e, :e] = (R[s:e] @ R[:e].T).toarray()
+    return G
+
+
 def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     """A proof, from one Cholesky factorization, that sigma_min(A) > rank_tol * sigma_1(A).
 
@@ -247,9 +281,11 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     each entry is a dot product of length l (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., section 3.5).  That bound holds in any
     summation order, so it covers the sparse product of a CSR A too: each entry
-    sums at most l nonzero products, in some order, the exact zeros it skips
-    would add no rounding, and whichever triangle dpotrf reads meets the same
-    entrywise bound |fl(G) - G| <= gamma_l |A| |A|^T.
+    sums at most l nonzero products, in some order, and the exact zeros it
+    skips would add no rounding.  Of a CSR A, :func:`_gram` forms only the lower
+    triangle, which is all that dpotrf and the trace read; the symmetric matrix
+    they see is that triangle mirrored, whose every entry meets the same
+    entrywise bound |fl(G) - G| <= gamma_l |A| |A|^T, so the norm bound holds.
 
     Together, lambda_min(A A^T or A^T A) >= tau - (m + k + 3) u f (1 + O(u))
     > rank_tol^2 f >= rank_tol^2 sigma_1^2, the 4 (m + k) eps margin covering
@@ -260,10 +296,9 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     zero, NaN or infinite A.
     """
     m, k = A.shape
-    G = _dense(A @ A.T if m <= k else A.T @ A)
-    # G is C-ordered, so G.T is G in the Fortran order dpotrf reads (the transpose
-    # only decides which triangle it reads, and either one meets the bound)
-    return _cholesky_proves(G.T, rank_tol * rank_tol + 4 * (m + k) * _EPS)
+    # _gram's G is C-ordered, so G.T is G in the Fortran order dpotrf reads, and
+    # the upper triangle dpotrf reads of G.T is the lower triangle of G
+    return _cholesky_proves(_gram(A).T, rank_tol * rank_tol + 4 * (m + k) * _EPS)
 
 
 def _svd_full_rank(s: np.ndarray, rank_tol: float) -> bool:

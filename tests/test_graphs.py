@@ -127,6 +127,9 @@ def test_enumerate_couplings_double_factorial(n, count):
     (sp.enumerate_couplings, 3),
     (sp.path_shear_block, 0),
     (sp.jacobi_from_spectrum, []),
+    (sp.jacobi_from_spectrum, [1.0, np.nan]),
+    (sp.jacobi_from_spectrum, [1.0, np.inf]),
+    (sp.jacobi_from_spectrum, [-np.inf, 1.0]),
 ])
 def test_builders_refuse_an_invalid_size(build, arg):
     with pytest.raises(ValueError):

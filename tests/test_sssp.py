@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -928,6 +929,46 @@ def test_certificate_proves_a_well_conditioned_matrix(ratio):
         assert sssp._certified_full_rank(scipy.sparse.csr_array(A), 1e-9)
     assert not sssp._certified_full_rank(np.zeros((3, 5)), 1e-9)
     assert not sssp._certified_full_rank(np.full((3, 5), np.nan), 1e-9)
+
+
+GRAM_BLOCK = sssp._GRAM_BLOCK
+
+
+@pytest.mark.parametrize("n", [GRAM_BLOCK // 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
+@pytest.mark.parametrize("wide", [True, False])
+def test_blocked_gram_triangle_equals_the_full_sparse_product_bit_for_bit(n, wide):
+    rng = np.random.default_rng(n)
+    shape = (n, n + 37) if wide else (n + 37, n)
+    A = scipy.sparse.random_array(shape, density=0.2, format="csr", rng=rng,
+                                  data_sampler=rng.standard_normal)
+    full = (A @ A.T if wide else A.T @ A).toarray()
+    G = sssp._gram(A)
+    assert G.shape == (n, n) and G.flags.c_contiguous
+    # row i is written up to the end of its block: the lower triangle and the upper
+    # parts of the diagonal blocks, and nothing to their right
+    i, j = np.indices((n, n))
+    written = j < np.minimum((i // GRAM_BLOCK + 1) * GRAM_BLOCK, n)
+    assert G.tobytes() == np.where(written, full, 0.0).tobytes()
+
+
+def test_certificate_holds_little_more_than_its_gram_matrix():
+    rng = np.random.default_rng(0)
+    n = 60
+    edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             if rng.uniform() < 0.3]
+    N = sp.random_pd_with_graph(sp.LabeledGraph.from_edges(n, edges), rng)
+    a, b = sssp._nonedge_pairs(N, None)
+    for build in (sssp._tangent_rows, sssp._commutation_rows):
+        A = build(N, a, b)
+        g = min(A.shape)
+        assert scipy.sparse.issparse(A) and g == a.size
+        tracemalloc.start()
+        try:
+            assert sssp._certified_full_rank(A, sssp.DEFAULT_RANK_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.35 * 8 * g * g, (build.__name__, peak / (8 * g * g))
 
 
 def _svd_only_full_rank(A, rank_tol):

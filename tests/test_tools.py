@@ -31,6 +31,7 @@ def test_gram_crossover_times_both_gram_paths(monkeypatch, small_n):
     for f in (sssp.has_sssp_rank, sssp.has_sssp_nullspace):
         times = gram_crossover.median_ms(f, small_n, (100, 0), 1)
         assert len(times) == 2 and all(t >= 0.0 for t in times)
+        assert gram_crossover.peak_mib(f, small_n, 0) > 0.0
 
 
 def test_verification_sweep_routes_agree(small_n):

@@ -6,8 +6,10 @@ For each p one 30%-density positive definite matrix of order 2p is drawn,
 and has_sssp_rank and has_sssp_nullspace are timed (median of ``--reps``
 calls, in ms) with ``sssp._SPARSE_GRAM_ORDER`` set above the Gram order,
 so the row matrix is dense, and to 0, so it is a CSR array.  The two
-settings take turns, so a change in host speed reaches both columns.  The
-Gram order of both oracles is m, the number of non-edges, and
+settings take turns, so a change in host speed reaches both columns.  Next
+to each time is the call's peak of memory traced by ``tracemalloc`` (MiB),
+from one further call, since tracing slows the calls it traces.  The Gram
+order of both oracles is m, the number of non-edges, and
 ``_SPARSE_GRAM_ORDER`` is set where the sparse columns start to win.
 """
 
@@ -15,6 +17,7 @@ import argparse
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +43,25 @@ def median_ms(f, N, orders, reps):
     return [1e3 * statistics.median(times[order]) for order in orders]
 
 
+def peak_mib(f, N, order):
+    """The traced peak of one call of f(N) under the Gram order switch, in MiB."""
+    sssp._SPARSE_GRAM_ORDER = order
+    tracemalloc.start()
+    try:
+        f(N)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=7)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     rng = np.random.default_rng(args.seed)
-    print("p     m   rank dense  rank sparse   null dense  null sparse   (ms)")
+    print("p     m      rank dense     rank sparse      null dense     null sparse"
+          "   (ms MiB)")
     for p in SIZES:
         n = 2 * p
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
@@ -55,8 +70,9 @@ def main():
         m = n * (n - 1) // 2 - len(edges)
         row = []
         for f in (sssp.has_sssp_rank, sssp.has_sssp_nullspace):
-            row += median_ms(f, N, (m + 1, 0), args.reps)  # dense, then sparse
-        print(f"{p:<3}{m:>6}" + "".join(f"{t:13.2f}" for t in row), flush=True)
+            orders = (m + 1, 0)  # dense, then sparse
+            row += zip(median_ms(f, N, orders, args.reps), (peak_mib(f, N, o) for o in orders))
+        print(f"{p:<3}{m:>6}" + "".join(f"{t:10.2f}{mib:6.1f}" for t, mib in row), flush=True)
 
 
 if __name__ == "__main__":
