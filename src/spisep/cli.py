@@ -169,7 +169,7 @@ def cmd_construct(args) -> dict:
         raise ValueError("number of targets must equal --size")
     N = _CONSTRUCT_BUILDERS[args.family](p, targets, seed)
     if args.out:
-        save_matrix(args.out, N, fmt=args.format)
+        save_matrix(args.out, N)
     return {
         "command": "construct",
         "family": args.family,
@@ -273,8 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("family", choices=_CONSTRUCT_BUILDERS)
     co.add_argument("--size", type=int, required=True, help="block size p (matrix order 2p)")
     co.add_argument("--targets", help="comma separated positive target spectrum")
-    co.add_argument("--out", help="output matrix file (json or mtx)")
-    co.add_argument("--format", choices=("json", "mtx"), default=None)
+    co.add_argument("--out", help="output matrix file (.mtx or .mm: Matrix Market, else JSON)")
 
     zc = command("zc", cmd_zc, "coupled zero forcing number")
     zc.add_argument("graph", help="graph JSON file with a coupling")

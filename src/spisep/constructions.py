@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hessenberg
 from scipy.sparse import csgraph
 
 from .core import (
@@ -218,8 +219,11 @@ def corona_spectrum(A, D, E) -> np.ndarray:
 def jacobi_from_spectrum(values) -> np.ndarray:
     """A tridiagonal matrix with prescribed distinct eigenvalues (path pattern).
 
-    Lanczos on diag(values) with uniform weights; distinct nodes with
-    positive weights give strictly positive off-diagonals.
+    Lanczos on diag(values) from the uniform weight vector w, done stably
+    (de Boor and Golub, LAA 21, 1978): the reflector H that swaps e1 and w
+    takes it to e1, and the Householder reduction of H diag(values) H fixes
+    e1.  Distinct nodes with positive weights give nonzero off-diagonals,
+    made positive by a diagonal sign similarity.
     """
     lam = np.sort(np.asarray(values, dtype=float))
     p = lam.size
@@ -231,25 +235,14 @@ def jacobi_from_spectrum(values) -> np.ndarray:
         raise ValueError("values must be distinct")
     if p == 1:
         return np.array([[lam[0]]])
-    w = np.full(p, 1.0 / p)
-    q = np.sqrt(w / np.sum(w))
-    Q = np.zeros((p, p))
-    Q[:, 0] = q
-    alpha = np.zeros(p)
-    beta = np.zeros(p - 1)
-    for k in range(p):
-        v = lam * Q[:, k]
-        alpha[k] = Q[:, k] @ v
-        v -= alpha[k] * Q[:, k]
-        if k > 0:
-            v -= beta[k - 1] * Q[:, k - 1]
-        v -= Q[:, : k + 1] @ (Q[:, : k + 1].T @ v)  # full reorthogonalization
-        if k < p - 1:
-            beta[k] = np.linalg.norm(v)
-            if beta[k] <= 1e-12:
-                raise ArithmeticError("Lanczos broke down; the values are too close together")
-            Q[:, k + 1] = v / beta[k]
-    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    v = np.full(p, 1.0 / np.sqrt(p))
+    v[0] -= 1.0
+    H = np.eye(p) - (2.0 / (v @ v)) * np.outer(v, v)
+    T = hessenberg(H @ (lam[:, None] * H))
+    beta = np.abs(np.diag(T, 1))
+    if np.min(beta) <= 1e-12:
+        raise ArithmeticError("Lanczos broke down; the values are too close together")
+    return np.diag(np.diag(T)) + np.diag(beta, 1) + np.diag(beta, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,9 @@ import numpy as np
 from scipy.linalg.lapack import dgetrf, dpotrf, dtrtrs, zheevd
 
 DEFAULT_CLUSTER_TOL = 1e-6
+# the max-norm tolerance of both symplectic PD characterizations, which must
+# agree on every input
+_SYMPLECTIC_PD_TOL = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
@@ -311,31 +314,28 @@ def williamson(N) -> WilliamsonPair:
     return WilliamsonPair(S=S, d=tuple(float(x) for x in d))
 
 
-def is_symplectic_pd(N, tol: float = 1e-8) -> bool:
+def is_symplectic_pd(N) -> bool:
     """True iff N is both symplectic and positive definite.
 
     Equivalent to all symplectic eigenvalues of N being one, and checked via
-    (Omega @ N)^2 = -I to within ``tol``.  A tol that is negative or not
-    finite raises ValueError.
+    (Omega @ N)^2 = -I to within ``_SYMPLECTIC_PD_TOL``.
     """
-    _check_tol("tol", tol)
     N = as_symmetric(N, even=True)
     if not _certified_pd(N):
         return False
     om = omega(N.shape[0] // 2)
     W = om @ N
-    return float(np.max(np.abs(W @ W + np.eye(N.shape[0])))) <= tol
+    return float(np.max(np.abs(W @ W + np.eye(N.shape[0])))) <= _SYMPLECTIC_PD_TOL
 
 
-def symplectic_pd_inverse_identity(N, tol: float = 1e-8) -> bool:
+def symplectic_pd_inverse_identity(N) -> bool:
     """Independent characterization of symplectic PD matrices via the inverse.
 
     N (positive definite, order 2p) is symplectic iff its inverse equals
-    [[N22, -N12.T], [-N12, N11]] in the p x p block partition.  Must agree
-    with :func:`is_symplectic_pd` on every input, and raises ValueError on
-    the same tolerances.
+    [[N22, -N12.T], [-N12, N11]] in the p x p block partition, to within
+    ``_SYMPLECTIC_PD_TOL`` relative to max(1, max |N^-1|).  Must agree with
+    :func:`is_symplectic_pd` on every input.
     """
-    _check_tol("tol", tol)
     N = as_symmetric(N, even=True)
     if not _certified_pd(N):  # and so invertible
         return False
@@ -345,7 +345,7 @@ def symplectic_pd_inverse_identity(N, tol: float = 1e-8) -> bool:
         [[N[p:, p:], -N[:p, p:].T], [-N[:p, p:], N[:p, :p]]]
     )
     scale = max(1.0, float(np.max(np.abs(Ninv))))
-    return float(np.max(np.abs(Ninv - blocked))) <= tol * scale
+    return float(np.max(np.abs(Ninv - blocked))) <= _SYMPLECTIC_PD_TOL * scale
 
 
 def basic_symplectic(kind: str, arg) -> np.ndarray:

@@ -364,19 +364,15 @@ def tree_perfect_matching(G: LabeledGraph) -> Coupling | None:
         raise ValueError("input graph is not a tree")
     if G.order % 2 != 0:
         return None
-    parent = {1: None}
-    order = [1]
-    for v in order:
-        for u in G.neighbors(v):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    mate: dict[int, int] = {}
-    for v in reversed(order):
-        if v in mate:
+    order, parent = csgraph.breadth_first_order(
+        csr_array(G.adjacency()), 0, directed=False, return_predecessors=True
+    )
+    mate = np.full(G.order, -1)
+    for v in order[::-1]:
+        if mate[v] >= 0:
             continue
         u = parent[v]
-        if u is None or u in mate:
+        if u < 0 or mate[u] >= 0:
             return None
         mate[v], mate[u] = u, v
-    return Coupling.from_pairs((v, u) for v, u in mate.items() if v < u)
+    return Coupling.from_pairs((v + 1, u + 1) for v, u in enumerate(mate) if v < u)

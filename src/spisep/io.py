@@ -1,9 +1,9 @@
 """Matrix and graph file formats for the command line tools.
 
 Matrices travel either as canonical JSON ({"order": n, "entries": row-major
-array of arrays}) or as Matrix Market symmetric coordinate files.  Graphs are
-JSON objects with "order", 1-based "edges", and an optional "coupling".
-JSON writes round-trip doubles exactly.
+array of arrays}) or as real Matrix Market files, which a .mtx or .mm suffix
+selects.  Graphs are JSON objects with "order", 1-based "edges", and an
+optional "coupling".  Both matrix formats round-trip doubles exactly.
 """
 
 from __future__ import annotations
@@ -23,12 +23,16 @@ class ParseError(Exception):
     """Raised when an input file cannot be understood."""
 
 
+def _has_matrix_market_suffix(path: str) -> bool:
+    """The one format rule for writing and reading: a .mtx or .mm suffix, in
+    any case, means Matrix Market."""
+    return os.path.splitext(path)[1].lower() in (".mtx", ".mm")
+
+
 def _is_matrix_market(path: str) -> bool:
-    ext = os.path.splitext(path)[1].lower()
-    if ext in (".mtx", ".mm"):
+    # on read, a file of any other suffix is Matrix Market if it opens with the banner
+    if _has_matrix_market_suffix(path):
         return True
-    if ext == ".json":
-        return False
     try:
         with open(path, "rb") as fh:
             return fh.read(14) == b"%%MatrixMarket"
@@ -37,12 +41,15 @@ def _is_matrix_market(path: str) -> bool:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a symmetric matrix from JSON or Matrix Market."""
+    """Read a symmetric matrix from JSON or Matrix Market.  A complex Matrix
+    Market file raises ParseError: its imaginary part would be dropped."""
     if _is_matrix_market(path):
         try:
             M = scipy.io.mmread(path)
         except Exception as exc:
             raise ParseError(f"bad Matrix Market file {path}: {exc}") from exc
+        if np.iscomplexobj(M):
+            raise ParseError(f"{path}: complex Matrix Market files are not supported")
         M = np.asarray(M.todense() if scipy.sparse.issparse(M) else M, dtype=float)
         try:
             return as_symmetric(M)
@@ -66,16 +73,15 @@ def load_matrix(path: str) -> np.ndarray:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def save_matrix(path: str, N, fmt: str | None = None) -> None:
-    """Write a matrix as JSON (default) or Matrix Market ('mtx')."""
+def save_matrix(path: str, N) -> None:
+    """Write a matrix to exactly ``path``: Matrix Market if its suffix is
+    .mtx or .mm, in any case, and JSON otherwise."""
     N = as_symmetric(N)
-    if fmt is None:
-        fmt = "mtx" if os.path.splitext(path)[1].lower() in (".mtx", ".mm") else "json"
-    if fmt == "mtx":
-        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(N), symmetry="symmetric")
+    if _has_matrix_market_suffix(path):
+        # given a name not ending in .mtx, mmwrite would append .mtx to it
+        with open(path, "wb") as fh:
+            scipy.io.mmwrite(fh, scipy.sparse.coo_matrix(N), symmetry="symmetric")
         return
-    if fmt != "json":
-        raise ValueError(f"unknown matrix format {fmt!r}")
     payload = {"order": N.shape[0], "entries": [[float(x) for x in row] for row in N]}
     with open(path, "w") as fh:
         json.dump(payload, fh)

@@ -32,8 +32,8 @@ def test_dopico_johnson_always_symplectic_pd():
     for _ in range(50):
         p = int(rng.choice([2, 3, 4]))
         N = sp.dopico_johnson(sp.random_pd(p, rng), sp.random_symmetric(p, rng))
-        assert sp.is_symplectic_pd(N, tol=1e-7)
-        assert sp.symplectic_pd_inverse_identity(N, tol=1e-7)
+        assert sp.is_symplectic_pd(N)
+        assert sp.symplectic_pd_inverse_identity(N)
 
 
 def test_dopico_johnson_rejects_bad_blocks():
@@ -184,6 +184,13 @@ def test_jacobi_from_spectrum():
     assert sp.graph_of_matrix(J) == sp.path_graph(4)
     with pytest.raises(ValueError):
         sp.jacobi_from_spectrum([1.0, 1.0, 2.0])
+    for p in range(2, 31):
+        rng = np.random.default_rng(p)
+        vals = np.sort(rng.uniform(0.1, 10.0, p)) * rng.uniform(0.1, 100.0)
+        J = sp.jacobi_from_spectrum(rng.permutation(vals))
+        assert np.max(np.abs(np.linalg.eigvalsh(J) - vals)) <= 1e-13 * vals[-1]
+        assert np.all(np.diag(J, 1) > 0)
+        assert sp.graph_of_matrix(J, zero_tol=0.0) == sp.path_graph(p)
 
 
 def test_forbidden_cycle_detector():

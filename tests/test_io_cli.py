@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.io
 
 import spisep as sp
 from spisep import catalogue
@@ -30,6 +31,28 @@ def test_matrix_market_round_trip(tmp_path):
     save_matrix(str(path), N)
     M = load_matrix(str(path))
     assert np.array_equal(M, N)
+
+
+@pytest.mark.parametrize("name", ["m.mm", "M.MTX"])
+def test_matrix_market_writes_exactly_the_path_it_is_given(tmp_path, name):
+    # mmwrite given a name appends .mtx unless it ends in .mtx, so these two
+    # once landed in m.mm.mtx and M.MTX.mtx
+    N = sp.random_pd(6, np.random.default_rng(1)) * np.pi
+    path = tmp_path / name
+    save_matrix(str(path), N)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+    assert path.read_text().startswith("%%MatrixMarket")
+    assert np.array_equal(load_matrix(str(path)), N)
+
+
+def test_complex_matrix_market_is_refused(tmp_path, capsys):
+    # once loaded as 2I with only a ComplexWarning, and spectrum exited 0
+    path = str(tmp_path / "h.mtx")
+    scipy.io.mmwrite(path, np.array([[2, 1j], [-1j, 2]]), field="complex")
+    with pytest.raises(ParseError, match="complex"):
+        load_matrix(path)
+    assert main(["spectrum", path]) == 2
+    assert "complex" in capsys.readouterr().err
 
 
 def test_load_matrix_errors(tmp_path):
@@ -137,6 +160,7 @@ def test_cli_tol_zero_decides_structural_zeros(tmp_path, capsys):
     ["construct", "tripath", "--size", "2", "--tol-cluster", "1e-3"],
     ["spectrum", "N.json", "--tol-rank", "1e-3"],
     ["catalogue-order4", "--samples", "60"],
+    ["construct", "tripath", "--size", "2", "--format", "mtx"],
 ])
 def test_cli_rejects_options_a_subcommand_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -284,7 +308,7 @@ def test_cli_construct_dopico_johnson_is_symplectic_pd(tmp_path, capsys):
     assert main(["construct", "dopico-johnson", "--size", "3", "--seed", "4",
                  "--out", out, "--json"]) == 0
     capsys.readouterr()
-    assert sp.is_symplectic_pd(load_matrix(out), tol=1e-7)
+    assert sp.is_symplectic_pd(load_matrix(out))
 
 
 def test_cli_construct_dopico_johnson_rejects_targets(capsys):

@@ -13,7 +13,7 @@ def test_exported_keyword_defaults():
         if inspect.isfunction(obj) and not name.startswith("_")
         for p in inspect.signature(obj).parameters.values()
     )
-    assert count == 19
+    assert count == 17
 
 
 def test_cli_settable_options():
@@ -26,4 +26,4 @@ def test_cli_settable_options():
         for a in cmd._actions
         if a.option_strings
     )
-    assert count == 11
+    assert count == 10
