@@ -163,7 +163,7 @@ def cmd_construct(args) -> dict:
     seed = args.seed
     targets = _parse_targets(args.targets)
     p = args.size
-    if p is None or p < 1:
+    if p < 1:
         raise ValueError("--size must be a positive integer")
     if targets and len(targets) != p:
         raise ValueError("number of targets must equal --size")

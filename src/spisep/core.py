@@ -387,17 +387,15 @@ def is_valid_symplectic_relabeling(sigma) -> bool:
 
     sigma (a permutation of 1..2p, as a sequence with sigma[i-1] = sigma(i))
     qualifies iff it maps the index pairing {{1, 1+p}, ..., {p, 2p}} onto
-    itself; exactly the permutations whose monomial lift preserves Omega.
-    There are p! * 2^p of them.
+    itself, |sigma(i) - sigma(i+p)| = p for all i <= p: exactly the p! * 2^p
+    permutations whose monomial lift preserves Omega.
     """
     sigma = _check_permutation(sigma)
     n = len(sigma)
     if n % 2 != 0:
         raise ValueError("sigma must permute an even range 1..2p")
     p = n // 2
-    base = {frozenset((i, i + p)) for i in range(1, p + 1)}
-    image = {frozenset((sigma[i - 1], sigma[i + p - 1])) for i in range(1, p + 1)}
-    return image == base
+    return all(abs(sigma[i] - sigma[i + p]) == p for i in range(p))
 
 
 def permutation_matrix(sigma) -> np.ndarray:
@@ -430,24 +428,19 @@ def symplectic_monomial_lift(sigma) -> np.ndarray:
     """The signed permutation matrix R = E @ P_sigma with R.T @ Omega @ R = Omega.
 
     Exists exactly for valid relabelings: a pair mapped with its internal
-    order flipped needs a -1 on the flipped slot.  Conjugation by R moves
-    the pattern by sigma while preserving symplectic spectra.
+    order flipped (index i+p taking a label s <= p) needs a -1 on label s+p.
+    Conjugation by R moves the pattern by sigma while preserving symplectic
+    spectra.
     """
     sigma = _check_permutation(sigma)
     if not is_valid_symplectic_relabeling(sigma):
         raise ValueError("sigma does not preserve the index pairing; no symplectic lift exists")
     p = len(sigma) // 2
-    P = permutation_matrix(sigma)
-    om = omega(p)
-    form = P @ om @ P.T
     eps = np.ones(2 * p)
-    for k in range(p):
-        if form[k, k + p] < 0:
-            eps[k + p] = -1.0
-    R = eps[:, None] * P
-    if not is_symplectic(R, tol=0.0):
-        raise AssertionError("monomial lift failed to preserve the form")
-    return R
+    for s in sigma[p:]:
+        if s <= p:
+            eps[s + p - 1] = -1.0
+    return eps[:, None] * permutation_matrix(sigma)
 
 
 def monomial_relabel(N, sigma) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csgraph, csr_array
 
-from .core import _nonzero, as_symmetric
+from .core import _check_permutation, _nonzero, as_symmetric
 
 
 def _norm_edge(e) -> tuple[int, int]:
@@ -80,8 +80,8 @@ class LabeledGraph:
 
     def relabeled(self, sigma) -> "LabeledGraph":
         """Apply a permutation of 1..n to the vertices (edge {i,j} -> {s(i),s(j)})."""
-        sigma = tuple(int(s) for s in sigma)
-        if sorted(sigma) != list(range(1, self.order + 1)):
+        sigma = _check_permutation(sigma)
+        if len(sigma) != self.order:
             raise ValueError("sigma must be a permutation of 1..order")
         return LabeledGraph.from_edges(
             self.order, ((sigma[i - 1], sigma[j - 1]) for i, j in self.edges)

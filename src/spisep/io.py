@@ -67,10 +67,7 @@ def load_matrix(path: str) -> np.ndarray:
         raise ParseError(f"{path}: expected fields 'order' and 'entries'") from exc
     if entries.shape != (order, order):
         raise ParseError(f"{path}: entries shape {entries.shape} does not match order {order}")
-    try:
-        return as_symmetric(entries)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return as_symmetric(entries)
 
 
 def save_matrix(path: str, N) -> None:

@@ -21,11 +21,10 @@ from .core import symplectic_spectrum
 from .graphs import (
     CoupledGraph,
     LabeledGraph,
-    apply_labeling,
     coupling_closure_graph,
     graph_of_matrix,
     is_caterpillar,
-    representative_labelings,
+    split_coupling,
 )
 
 _CLOSED_SET_BUDGET = 2**20
@@ -223,21 +222,18 @@ class MultiplicityBoundReport:
         return self.max_multiplicity <= self.zc
 
 
-def msp_upper_bound(N, CG: CoupledGraph) -> MultiplicityBoundReport:
+def msp_upper_bound(N) -> MultiplicityBoundReport:
     """Check max symplectic multiplicity of N against the coupled forcing number.
 
-    N's labeled graph must be one of the representative labelings of the
-    coupled graph; the maximum multiplicity of any symplectic eigenvalue of a
-    matrix in the class is at most the coupled zero forcing number.
+    N's own labels fix its coupled class: its labeled graph with the split
+    coupling {i, i+p}.  Every representative labeling of a coupled graph is
+    an isomorphism onto such a class, and zc is an isomorphism invariant; the
+    maximum multiplicity of any symplectic eigenvalue of a matrix in the
+    class is at most zc.
     """
-    GN = graph_of_matrix(N)
-    if GN.order != CG.graph.order:
-        raise ValueError("matrix order does not match the coupled graph")
-    if not any(apply_labeling(CG, L) == GN for L in representative_labelings(CG)):
-        raise ValueError("the pattern of N is not a representative labeling of CG")
     spec = symplectic_spectrum(N)
     return MultiplicityBoundReport(
         spectrum=spec.values,
         max_multiplicity=spec.max_multiplicity,
-        zc=zc_number(CG),
+        zc=zc_number(CoupledGraph(graph_of_matrix(N), split_coupling(2 * spec.p))),
     )

@@ -556,6 +556,35 @@ def test_monomial_lift_requires_valid_sigma():
         sp.symplectic_monomial_lift((2, 4, 3, 1))
 
 
+def _maps_the_pairing_onto_itself(sigma):
+    # the pair-set statement of validity: the image of {{i, i+p}} is {{i, i+p}}
+    p = len(sigma) // 2
+    base = {frozenset((i, i + p)) for i in range(1, p + 1)}
+    return {frozenset((sigma[i - 1], sigma[i + p - 1])) for i in range(1, p + 1)} == base
+
+
+def test_valid_relabeling_rule_matches_the_pair_set_rule():
+    for n in (2, 4, 6, 8):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            assert sp.is_valid_symplectic_relabeling(sigma) == _maps_the_pairing_onto_itself(sigma)
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="even range"):
+            sp.is_valid_symplectic_relabeling(range(1, n + 1))
+
+
+def test_monomial_lift_preserves_the_form_exactly():
+    count = 0
+    for p in (1, 2, 3, 4):
+        om = sp.omega(p)
+        for sigma in itertools.permutations(range(1, 2 * p + 1)):
+            if sp.is_valid_symplectic_relabeling(sigma):
+                R = sp.symplectic_monomial_lift(sigma)
+                assert np.array_equal(np.abs(R), sp.permutation_matrix(sigma))
+                assert np.array_equal(R.T @ om @ R, om)
+                count += 1
+    assert count == 442
+
+
 def test_cluster_tolerance_is_surfaced():
     spec = sp.symplectic_spectrum(np.eye(4), cluster_tol=1e-3)
     assert spec.cluster_tol == 1e-3

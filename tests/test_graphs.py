@@ -89,6 +89,10 @@ def test_graph_relabel_tracks_matrix_relabel():
         N = sp.random_pd_with_graph(G, rng)
         sigma = tuple(rng.permutation(n) + 1)
         assert sp.graph_of_matrix(sp.relabel(N, sigma)) == G.relabeled(sigma)
+    # a permutation of the wrong length and a non-permutation are both refused
+    for sigma in [(1, 2, 3), (1, 1, 2, 3)]:
+        with pytest.raises(ValueError, match="sigma must be a permutation of 1.."):
+            sp.path_graph(4).relabeled(sigma)
 
 
 def test_coupling_closure_graph():

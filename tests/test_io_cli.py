@@ -219,6 +219,48 @@ def test_cli_violated_preconditions_exit_3(argv, message, tmp_path, capsys, monk
     assert message in capsys.readouterr().err
 
 
+_REJECTED_FILES = {
+    "order_only.json": '{"order": 2}',
+    "truncated.mtx": "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n",
+    "wide.mtx": "%%MatrixMarket matrix array real general\n2 3\n" + "1\n" * 6,
+    "garbage.json": "{",
+    "no_order.json": '{"edges": [[1, 2]]}',
+    "loop.json": '{"order": 2, "edges": [[1, 1]]}',
+    "repeated.json": '{"order": 4, "edges": [], "coupling": [[1, 1], [2, 3]]}',
+    "uncovered.json": '{"order": 6, "edges": [], "coupling": [[1, 2], [3, 4]]}',
+}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["construct", "tripath", "--size", "2", "--targets", "a,b"], 2, "bad targets"),
+    (["construct", "tripath", "--size", "2", "--targets", ","], 3, "--targets is empty"),
+    (["construct", "tripath", "--size", "0"], 3, "--size must be a positive integer"),
+    (["construct", "tripath", "--size", "3", "--targets", "1,2"], 3, "must equal --size"),
+    # with the two oracles made to disagree
+    (["sssp", "I4.json"], 4, "SSSP tests disagree"),
+    (["spectrum", "order_only.json"], 2, "expected fields 'order' and 'entries'"),
+    (["spectrum", "truncated.mtx"], 2, "bad Matrix Market file"),
+    (["spectrum", "wide.mtx"], 2, "expected a square matrix"),
+    (["zc", "garbage.json"], 2, "bad graph file"),
+    (["zc", "no_order.json"], 2, "expected fields 'order' and 'edges'"),
+    (["zc", "loop.json"], 2, "loops are not allowed"),
+    (["zc", "repeated.json"], 2, "bad coupling"),
+    (["zc", "uncovered.json"], 2, "coupling does not cover 1..6"),
+])
+def test_cli_rejects_bad_inputs(argv, code, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _REJECTED_FILES.items():
+        (tmp_path / name).write_text(text)
+    save_matrix("I4.json", np.eye(4))
+    has_sssp_rank = cli.has_sssp_rank
+    monkeypatch.setattr(cli, "has_sssp_rank", lambda *a, **k: not has_sssp_rank(*a, **k))
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    if argv[1] in _REJECTED_FILES:
+        with pytest.raises(ParseError, match=message):
+            (load_graph if argv[0] == "zc" else load_matrix)(argv[1])
+
+
 @pytest.mark.parametrize("command, kernel", [
     ("williamson", "williamson"), ("spectrum", "symplectic_spectrum"),
 ])

@@ -508,6 +508,15 @@ def test_continuation_line_search_steps_back_from_a_failed_solve(monkeypatch):
     np.testing.assert_allclose(tried[2] - tried[0], (tried[1] - tried[0]) / 2, atol=1e-15)
 
 
+def test_continuation_gives_up_an_attempt_whose_line_search_fails(monkeypatch):
+    # a step solved for +f only raises |f|, so each of the 8 attempts halves it
+    # 34 times down to _MIN_STEP and gives up: 1 + 34 solves per attempt
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda J, f, rcond=None: lstsq(J, -f, rcond=rcond))
+    with pytest.raises(ArithmeticError, match=r"took 8 steps and 280 Williamson solves\)$"):
+        sp.continuation_realize(sp.path_graph(6), [0.5, 1, 2], rng=np.random.default_rng(0))
+
+
 def test_continuation_counts_a_start_outside_the_pd_cone_as_failed(monkeypatch):
     # edges up to 10x the smallest target cannot sit on diag(target, target)
     monkeypatch.setattr(sssp, "_EDGE_SCALE", 10.0)
@@ -892,6 +901,26 @@ def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
     monkeypatch.setattr(sssp, "verification_matrix_full", full)
     vm = sp.verification_matrix(N)
     assert vm.full.shape == (21, 21) and vm.reduced.shape == (8, 21)
+
+
+@pytest.mark.parametrize("name", ["rank", "nullspace"])
+def test_oracles_fall_back_to_the_svd_where_the_certificate_fails(name, monkeypatch):
+    # just below sigma_min / sigma_1 of the oracle's own rows the certificate
+    # cannot prove full rank, so the SVD alone says True; just above it, False
+    N = sp.random_pd_with_graph(sp.path_graph(6), np.random.default_rng(3))
+    N, a, b = sssp._oracle_input(N, 0.0, None)
+    A = {"rank": sssp._tangent_rows, "nullspace": sssp._commutation_rows}[name](N, a, b)
+    s = np.linalg.svd(sssp._dense(A), compute_uv=False)
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
+    for factor, verdict in ((0.9, True), (1.1, False)):
+        rank_tol = factor * s[-1] / s[0]
+        assert not sssp._certified_full_rank(A, rank_tol)
+        if name == "rank":
+            assert sp.has_sssp_rank(N, rank_tol=rank_tol) is verdict
+        else:
+            flag, witness = sp.has_sssp_nullspace(N, rank_tol=rank_tol)
+            assert flag is verdict and (witness is None) is verdict
+    assert len(svds) == 2
 
 
 def _with_singular_values(rng, m, k, sigma):

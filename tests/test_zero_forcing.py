@@ -364,21 +364,38 @@ def test_msp_upper_bound_on_path():
     pattern = sp.apply_labeling(CG, labeling)
     for _ in range(5):
         N = sp.random_pd_with_graph(pattern, rng)
-        rep = sp.msp_upper_bound(N, CG)
+        rep = sp.msp_upper_bound(N)
         assert rep.zc == 1
         assert rep.max_multiplicity == 1
         assert rep.holds
 
 
+@pytest.mark.parametrize("CG", [
+    sp.path_with_matching(6),
+    sp.cycle_with_matching(6),
+    sp.corona(sp.path_graph(3)),
+    sp.triangular_path(6),
+    sp.complete_bipartite_matching(3),
+], ids=["path", "cycle", "corona", "tripath", "bipartite"])
+def test_msp_upper_bound_reads_the_class_off_the_labels(CG):
+    # every representative labeling carries CG onto the split-coupled graph of
+    # the pattern it labels, so the report's zc is CG's own
+    rng = np.random.default_rng(7)
+    zc = sp.zc_number(CG)
+    labelings = sp.representative_labelings(CG)
+    assert len(labelings) == 48
+    for L in labelings:
+        N = sp.random_pd_with_graph(sp.apply_labeling(CG, L), rng)
+        assert sp.msp_upper_bound(N).zc == zc
+
+
 def test_path_order_labeling_is_not_in_the_matching_class():
     # the path-order pattern represents the distance-p coupling, not the
-    # matching coupling; the class check must reject it
-    CG = sp.path_with_matching(6)
+    # matching coupling: the report carries the split-coupled path's zc
     N = sp.random_pd_with_graph(sp.path_graph(6), np.random.default_rng(6))
-    with pytest.raises(ValueError):
-        sp.msp_upper_bound(N, CG)
-    CG_dist = sp.CoupledGraph(sp.path_graph(6), sp.split_coupling(6))
-    rep = sp.msp_upper_bound(N, CG_dist)
+    rep = sp.msp_upper_bound(N)
+    assert rep.zc == sp.zc_number(sp.CoupledGraph(sp.path_graph(6), sp.split_coupling(6))) == 3
+    assert sp.zc_number(sp.path_with_matching(6)) == 1
     assert rep.holds
 
 
@@ -387,27 +404,34 @@ def test_msp_bound_attained_on_corona_of_complete_graph():
     nus = np.array([1.0] * (p - 1) + [2.0])
     A = (nus[0] ** 2 + 1) * np.eye(p) + ((nus[-1] ** 2 + 1) - (nus[0] ** 2 + 1)) / p * np.ones((p, p))
     N = sp.corona_realize(A, np.ones(p), np.ones(p))
-    CG = sp.corona(sp.complete_graph(p))
-    rep = sp.msp_upper_bound(N, CG)
+    rep = sp.msp_upper_bound(N)
     assert rep.zc == p - 1
     assert rep.max_multiplicity == p - 1
     assert rep.holds
 
 
-def test_msp_pattern_mismatch_rejected():
-    CG = sp.path_with_matching(4)
-    N = np.eye(4)
-    with pytest.raises(ValueError):
-        sp.msp_upper_bound(N, CG)
+def test_msp_upper_bound_of_the_identity():
+    # the empty graph with the split coupling needs one vertex of each pair
+    rep = sp.msp_upper_bound(np.eye(4))
+    assert rep.zc == 2
+    assert rep.max_multiplicity == 2
+    assert rep.holds
 
 
 def test_labeling_guard():
-    # p = 6 has 2^6 * 6! labelings; the guard stops both callers at p = 5
+    # p = 6 has 2^6 * 6! labelings; the guard stops the enumeration at p = 5,
+    # while the bound reads the class off the pattern and needs no labelings
     CG = sp.path_with_matching(12)
     with pytest.raises(ValueError, match="enumeration guard 5"):
         sp.representative_labelings(CG)
-    with pytest.raises(ValueError, match="enumeration guard 5"):
-        sp.msp_upper_bound(np.eye(12), CG)
+    CG = sp.triangular_path(12)
+    L = [0] * 12
+    for k, (a, b) in enumerate(CG.coupling.pairs, start=1):
+        L[a - 1], L[b - 1] = k, k + 6
+    N = sp.random_pd_with_graph(sp.apply_labeling(CG, L), np.random.default_rng(8))
+    rep = sp.msp_upper_bound(N)
+    assert rep.zc == sp.zc_number(CG)
+    assert rep.holds
 
 
 def test_exhaustive_guard():
