@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dpotrf, dtrtrs, zheevd
+from scipy.linalg.lapack import dgetrf, dpotrf, dpotrs, dtrtrs, zheevd
 
 DEFAULT_CLUSTER_TOL = 1e-6
 # the max-norm tolerance of both symplectic PD characterizations, which must
@@ -150,6 +150,28 @@ def _cholesky_proves(H: np.ndarray, shift: float) -> bool:
         return False
     H.flat[:: H.shape[0] + 1] -= shift * f
     return dpotrf(H, clean=0, overwrite_a=1)[1] == 0
+
+
+def _min_norm_solve(J: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The minimum-norm solution s = J.T y of J s = b for J of shape r x c,
+    r <= c, with (J J.T) y = b solved by one Cholesky factor of the r x r
+    matrix J J.T (Nocedal and Wright, Numerical Optimization, 2nd ed.,
+    section 10.3) and refined once by the residual b - J s taken from J
+    itself, which takes the error from cond(J)^2 eps to about cond(J) eps
+    (Bjorck, Numerical Methods for Least Squares Problems, SIAM 1996).
+
+    None where J has lost row rank, so that no unique minimum-norm solution
+    exists: dpotrf stops, or a pivot R_jj, the distance of row j of J from
+    the span of the rows above it, has R_jj^2 at most (r + c) eps times the
+    row's squared norm, twice the rounding of forming and factoring J J.T.
+    """
+    A = J @ J.T
+    R, info = dpotrf(A, clean=0)
+    if info != 0 or not np.all(R.diagonal() ** 2 > sum(J.shape) * _EPS * A.diagonal()):
+        return None
+    y = dpotrs(R, b)[0]
+    y += dpotrs(R, b - J @ (J.T @ y))[0]
+    return J.T @ y
 
 
 def is_positive_definite(N) -> bool:

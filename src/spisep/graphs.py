@@ -125,7 +125,9 @@ class Coupling:
     def __post_init__(self):
         seen: set[int] = set()
         for a, b in self.pairs:
-            if a >= b:
+            if a == b:
+                raise ValueError(f"vertex {a} is paired with itself")
+            if a > b:
                 raise ValueError("coupling pairs must be stored as (low, high)")
             seen.update((a, b))
         n = 2 * len(self.pairs)

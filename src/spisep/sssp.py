@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
     _cholesky_proves,
+    _min_norm_solve,
     _nonzero,
     _require_pd,
     _williamson_columns,
@@ -29,6 +30,7 @@ from .core import (
     is_hamiltonian,
     is_positive_definite,
     omega,
+    pattern_tol,
 )
 from .constructions import _check_targets
 from .graphs import LabeledGraph, graph_of_matrix
@@ -530,10 +532,15 @@ def continuation_realize(
     holds whenever the seed has the SSSP, e.g. for distinct targets; this
     routine supplies the witness.
 
-    Each step is the minimum-norm lstsq(J, -f), halved until it stays in the
+    Each step is the minimum-norm solution of J s = -f, from one Cholesky
+    factor of the r x r matrix J J.T (J has r rows, one per target plus two
+    per near pair, and a column per free entry), halved until it stays in the
     positive definite cone and decreases |f|; one Williamson form per trial
     point gives both f and J.  Targets within a relative gap of 1e-3 add the
     pair rows of :func:`_spectral_rows`, so repeated targets converge too.
+    An attempt ends when it meets the spectrum, after 100 steps, when its
+    line search halves the step below 1e-10, or when J loses row rank, where
+    the factorization fails and no unique minimum-norm step exists.
 
     Returns a positive definite matrix with labeled graph exactly G and
     spectrum within 1e-6 of the target; raises ArithmeticError if no attempt
@@ -541,7 +548,7 @@ def continuation_realize(
     is not positive definite.  An attempt whose start lies outside the
     positive definite cone counts as failed, and so does one that meets the
     spectrum but fails the PD check or loses an edge; the ArithmeticError
-    counts both kinds.
+    counts both kinds and the attempts that ended where J lost row rank.
     """
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
@@ -584,7 +591,7 @@ def continuation_realize(
             raise NotPositiveDefiniteError("seed matrix is not positive definite")
         seed_x = seed_matrix[rows, cols]
     last_err = np.inf
-    runs = steps = solves = rejected = 0
+    runs = steps = solves = rejected = singular = 0
     for attempt in range(_MAX_ATTEMPTS):
         if seed_matrix is not None:
             jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
@@ -600,26 +607,30 @@ def continuation_realize(
         for _ in range(_MAX_STEPS):
             if np.max(np.abs(f)) <= 8 * _EPS * G.order * target[-1]:
                 break
-            s = np.linalg.lstsq(_spectral_rows(S, rows, cols, k, l), -f, rcond=None)[0]
+            s = _min_norm_solve(_spectral_rows(S, rows, cols, k, l), -f)
             steps += 1
             norm, alpha = np.linalg.norm(f), 1.0
-            while alpha >= _MIN_STEP:
+            while s is not None and alpha >= _MIN_STEP:
                 point = solve(x + alpha * s)
                 if point is not None and np.linalg.norm(point[0]) <= (1 - 1e-4 * alpha) * norm:
                     break
                 alpha /= 2
             else:
+                singular += s is None
                 break
             x, (f, S) = x + alpha * s, point
         N, err = build(x), float(np.max(np.abs(f)))
         last_err = min(last_err, err)
         if err <= _SPECTRUM_TOL:
-            if is_positive_definite(N) and graph_of_matrix(N) == G:
+            # N is exactly zero off the free entries, so its labeled graph is G
+            # iff every edge entry x[G.order:] is a structural nonzero
+            if is_positive_definite(N) and _nonzero(x[G.order :], pattern_tol(x)).all():
                 return N
             rejected += 1
     raise ArithmeticError(
         f"continuation did not converge on this pattern (best residual {last_err:.3e}"
         f" after {_MAX_ATTEMPTS} attempts, {_MAX_ATTEMPTS - runs} of them starting outside"
-        f" the PD cone and {rejected} meeting the spectrum but failing the PD check or"
-        f" losing an edge; Gauss-Newton took {steps} steps and {solves} Williamson solves)"
+        f" the PD cone, {rejected} meeting the spectrum but failing the PD check or"
+        f" losing an edge and {singular} ending where the Jacobian lost row rank;"
+        f" Gauss-Newton took {steps} steps and {solves} Williamson solves)"
     )

@@ -146,6 +146,36 @@ def test_cholesky_proves_exactly_above_the_shifted_boundary(shift, layout):
     assert verdicts == [False, True]
 
 
+def _random_full_row_rank(rng, r, c, cond):
+    # J = U diag(sigma) V.T of shape r x c with singular values from 1 to cond
+    U = np.linalg.qr(rng.standard_normal((r, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((c, r)))[0]
+    return (U * np.geomspace(1.0, cond, r)) @ V.T * 10.0 ** rng.uniform(-3, 3)
+
+
+def test_min_norm_solve_matches_least_squares_on_full_row_rank():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        r = int(rng.integers(1, 25))
+        J = _random_full_row_rank(rng, r, int(rng.integers(r, 320)), 10.0 ** rng.uniform(0, 4))
+        b = rng.standard_normal(r) * 10.0 ** rng.uniform(-3, 3)
+        want = np.linalg.lstsq(J, b, rcond=None)[0]
+        got = core._min_norm_solve(J, b)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_min_norm_solve_refuses_a_repeated_row():
+    # J J.T is singular; dpotrf alone completes on about a third of these,
+    # with a last pivot of rounding size
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        r = int(rng.integers(2, 25))
+        J = rng.standard_normal((r, int(rng.integers(r, 320)))) * rng.uniform(0.01, 100, (r, 1))
+        i, j = rng.choice(r, 2, replace=False)
+        J[j] = J[i] * rng.choice([1.0, -2.0])
+        assert core._min_norm_solve(J, rng.standard_normal(r)) is None
+
+
 def test_positive_definite_rejects_non_finite():
     with pytest.raises(ValueError):
         sp.is_positive_definite(np.array([[1.0, np.nan], [np.nan, 1.0]]))

@@ -107,10 +107,12 @@ def test_coupling_closure_graph():
 
 
 def test_coupling_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cover each vertex exactly once"):
         sp.Coupling.from_pairs([(1, 2), (2, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 1 is paired with itself"):
         sp.Coupling.from_pairs([(1, 1), (2, 3)])
+    with pytest.raises(ValueError, match=r"stored as \(low, high\)"):
+        sp.Coupling(((2, 1), (3, 4)))
     c = sp.Coupling.from_pairs([(4, 1), (3, 2)])
     assert c.pairs == ((1, 4), (2, 3))
     assert c.partner(4) == 1 and c.partner(2) == 3

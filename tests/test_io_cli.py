@@ -244,7 +244,7 @@ _REJECTED_FILES = {
     (["zc", "garbage.json"], 2, "bad graph file"),
     (["zc", "no_order.json"], 2, "expected fields 'order' and 'edges'"),
     (["zc", "loop.json"], 2, "loops are not allowed"),
-    (["zc", "repeated.json"], 2, "bad coupling"),
+    (["zc", "repeated.json"], 2, "coupling: vertex 1 is paired with itself"),
     (["zc", "uncovered.json"], 2, "coupling does not cover 1..6"),
 ])
 def test_cli_rejects_bad_inputs(argv, code, message, tmp_path, capsys, monkeypatch):

@@ -511,8 +511,8 @@ def test_continuation_line_search_steps_back_from_a_failed_solve(monkeypatch):
 def test_continuation_gives_up_an_attempt_whose_line_search_fails(monkeypatch):
     # a step solved for +f only raises |f|, so each of the 8 attempts halves it
     # 34 times down to _MIN_STEP and gives up: 1 + 34 solves per attempt
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda J, f, rcond=None: lstsq(J, -f, rcond=rcond))
+    solve = sssp._min_norm_solve
+    monkeypatch.setattr(sssp, "_min_norm_solve", lambda J, f: solve(J, -f))
     with pytest.raises(ArithmeticError, match=r"took 8 steps and 280 Williamson solves\)$"):
         sp.continuation_realize(sp.path_graph(6), [0.5, 1, 2], rng=np.random.default_rng(0))
 
@@ -625,10 +625,46 @@ def test_continuation_jacobian_without_pairs_is_the_simple_gradient(monkeypatch)
 def test_continuation_converges_in_a_few_gauss_newton_steps(monkeypatch):
     # minimum-norm Gauss-Newton steps converge quadratically near a solution;
     # steps pinned to a trust-region boundary took 22 Jacobians here
-    steps = _count_calls(monkeypatch, np.linalg, "lstsq")
+    steps = _count_calls(monkeypatch, sssp, "_min_norm_solve")
     sp.continuation_realize(sp.triangular_path(8).graph, [0.5, 1.0, 2.0, 3.5],
                             rng=np.random.default_rng(10))
     assert 0 < len(steps) <= 8
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_min_norm_solve_matches_least_squares_on_spectral_rows(n):
+    # the continuation's Jacobian with a pair row for each neighbouring pair of
+    # values, at a positive definite matrix on a realize-ladder-like pattern
+    rng = np.random.default_rng(n)
+    G = _random_pattern(n, rng)
+    rows, cols = _free_entries(G)
+    S = core._williamson_columns(sp.random_pd_with_graph(G, rng))[1]
+    k = np.arange(n // 2 - 1)
+    J = sssp._spectral_rows(S, rows, cols, k, k + 1)
+    assert J.shape[0] < J.shape[1] and np.linalg.cond(J) <= 1e4
+    for _ in range(5):
+        f = rng.standard_normal(J.shape[0])
+        want = np.linalg.lstsq(J, f, rcond=None)[0]
+        assert np.linalg.norm(sssp._min_norm_solve(J, f) - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_continuation_ends_an_attempt_where_the_jacobian_loses_row_rank(monkeypatch):
+    # with its last row a copy of its first, J has no unique minimum-norm
+    # step, so each of the 8 attempts ends at its start
+    spectral_rows = sssp._spectral_rows
+
+    def repeat_first_row(*args):
+        J = spectral_rows(*args)
+        J[-1] = J[0]
+        return J
+
+    monkeypatch.setattr(sssp, "_spectral_rows", repeat_first_row)
+    solves = _count_calls(monkeypatch, sssp, "_williamson_columns")
+    with pytest.raises(ArithmeticError, match=r"8 ending where the Jacobian lost row rank; "
+                       r"Gauss-Newton took 8 steps and 8 Williamson solves\)$"):
+        sp.continuation_realize(sp.triangular_path(8).graph, [0.5, 1.0, 2.0, 3.5],
+                                rng=np.random.default_rng(10))
+    assert len(solves) == 8
 
 
 def test_continuation_raises_arithmetic_error_where_the_schur_form_stalls():
@@ -654,7 +690,7 @@ def test_continuation_solves_once_per_residual_evaluation(monkeypatch):
     # the Jacobian; here every full step passes the line search, so the run
     # solves once for its start and once per step
     solves = _count_calls(monkeypatch, sssp, "_williamson_columns")
-    steps = _count_calls(monkeypatch, np.linalg, "lstsq")
+    steps = _count_calls(monkeypatch, sssp, "_min_norm_solve")
     rng = np.random.default_rng(5)
     G = _random_pattern(20, rng)
     N = sp.continuation_realize(G, np.sort(rng.uniform(0.5, 3.0, 10)), rng=rng)

@@ -39,3 +39,16 @@ def test_verification_sweep_routes_agree(small_n):
     ref, _, _ = verification_sweep.measure(verification_sweep.basis_route, small_n, 1)
     got, _, ref_mb = verification_sweep.measure(verification_sweep.gathered, small_n, 1)
     assert np.array_equal(got, ref) and ref_mb >= 0.0
+
+
+def test_continuation_corpus_counts_each_call():
+    continuation_corpus = _load("continuation_corpus")
+    # seed 3050 draws the pattern of the returned near-subgraph triple in ROADMAP
+    G, target = continuation_corpus.case(3050, 0.2, 3)
+    assert sorted(G.edges) == [(1, 4), (1, 5), (2, 6), (2, 7), (2, 8), (3, 4)]
+    assert target[0] == target[1] == target[2] < target[3]
+    williamson_columns = sssp._williamson_columns
+    c = continuation_corpus.cell([3000, 3001], 0.35, 2)
+    assert c["realized"] + c["failed"] == len(c["solves"]) == 2
+    assert all(s >= 1 for s in c["solves"]) and len(c["failed_solves"]) == c["failed"]
+    assert sssp._williamson_columns is williamson_columns
