@@ -56,7 +56,6 @@ from .graphs import (
 from .sssp import (
     VerificationMatrix,
     continuation_realize,
-    direct_sum_interleave,
     direction_graph,
     has_sssp_in_direction,
     has_sssp_nullspace,
@@ -68,12 +67,12 @@ from .sssp import (
     unvec_triangle,
     vec_triangle,
     verification_matrix,
-    verification_matrix_full,
 )
 from .constructions import (
     SparsityReport,
     corona_realize,
     corona_spectrum,
+    direct_sum_interleave,
     dopico_johnson,
     forbidden_cycle_detector,
     forbidden_nilpotent_detector,

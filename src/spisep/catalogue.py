@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constructions import dopico_johnson, random_smear, shear_square
+from .constructions import direct_sum_interleave, dopico_johnson, random_smear, shear_square
 from .core import (
     basic_symplectic,
     is_symplectic_pd,
@@ -36,7 +36,7 @@ from .graphs import (
     graph_of_matrix,
     representative_labelings,
 )
-from .sssp import direct_sum_interleave, has_sssp_nullspace, has_sssp_rank
+from .sssp import has_sssp_nullspace, has_sssp_rank
 
 ARBITRARY = "spectrally_arbitrary"
 ARBITRARY_SSSP = "arbitrary_with_SSSP_witness"

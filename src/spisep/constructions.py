@@ -15,7 +15,9 @@ from scipy.linalg import hessenberg
 from scipy.sparse import csgraph
 
 from .core import (
+    _check_targets,
     _nonzero,
+    _require_pd,
     _symmetric_block,
     as_symmetric,
     basic_symplectic,
@@ -27,14 +29,6 @@ from .core import (
 from .graphs import LabeledGraph, complete_graph, graph_of_matrix
 
 _MAX_RESAMPLE = 100
-
-
-def _check_targets(target) -> np.ndarray:
-    # the one rule for target spectra: nonempty, every value positive and finite
-    t = np.asarray(target, dtype=float).ravel()
-    if t.size == 0 or not np.all((t > 0) & (t < np.inf)):
-        raise ValueError("targets must be positive and finite")
-    return t
 
 
 def dopico_johnson(N11, W) -> np.ndarray:
@@ -60,11 +54,10 @@ def shear_square(B) -> np.ndarray:
 
     For entrywise nonnegative B the pattern is explicit: {i, p+j} is an edge
     iff B[i, j] != 0 and {p+i, p+j} iff columns i and j of B share a nonzero
-    row.
+    row.  It is :func:`realize_shear` at all-ones targets.
     """
     B = _symmetric_block(B)
-    I = np.eye(B.shape[0])
-    return as_symmetric(np.block([[I, B], [B, I + B @ B]]))
+    return realize_shear(B, np.ones(B.shape[0]))
 
 
 def realize_shear(B, target) -> np.ndarray:
@@ -84,6 +77,25 @@ def realize_shear(B, target) -> np.ndarray:
     N12 = (rd[:, None] * B) / rd[None, :]
     N22 = np.diag(t) + (B @ B) / np.outer(rd, rd)
     return as_symmetric(np.block([[N11, N12], [N12.T, N22]]))
+
+
+def direct_sum_interleave(P, Q) -> np.ndarray:
+    """Order-compatible direct sum of matrices of orders 2m and 2r.
+
+    Embeds P on indices {1..m, p+1..p+m} and Q on {m+1..p, p+m+1..2p}
+    (p = m + r), so the result is permutation-similar to P + Q as a matrix
+    but respects the block convention of the symplectic form.  Its symplectic
+    spectrum is the union of the two spectra.
+    """
+    P, Q = _require_pd(P), _require_pd(Q)
+    m, r = P.shape[0] // 2, Q.shape[0] // 2
+    p = m + r
+    idx_p = list(range(m)) + list(range(p, p + m))
+    idx_q = list(range(m, p)) + list(range(p + m, 2 * p))
+    N = np.zeros((2 * p, 2 * p))
+    N[np.ix_(idx_p, idx_p)] = P
+    N[np.ix_(idx_q, idx_q)] = Q
+    return N
 
 
 def realize_nonneg_symplectic(S, target) -> np.ndarray:

@@ -83,6 +83,14 @@ def _check_tol(name: str, tol: float) -> None:
         raise ValueError(f"{name} must be nonnegative and finite, got {tol}")
 
 
+def _check_targets(target) -> np.ndarray:
+    # the one rule for target spectra: nonempty, every value positive and finite
+    t = np.asarray(target, dtype=float).ravel()
+    if t.size == 0 or not np.all((t > 0) & (t < np.inf)):
+        raise ValueError("targets must be positive and finite")
+    return t
+
+
 def is_symplectic(S, tol: float = 1e-8) -> bool:
     """True iff ``S.T @ Omega @ S`` equals Omega to within ``tol`` (max norm).
     A tol that is negative or not finite raises ValueError."""

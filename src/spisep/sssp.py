@@ -21,6 +21,7 @@ from .core import (
     _EPS,
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
+    _check_targets,
     _cholesky_proves,
     _min_norm_solve,
     _nonzero,
@@ -32,7 +33,6 @@ from .core import (
     omega,
     pattern_tol,
 )
-from .constructions import _check_targets
 from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
@@ -136,30 +136,18 @@ class VerificationMatrix:
     """
 
     full: np.ndarray
-    reduced: np.ndarray | None = None
-    row_index: tuple[tuple[int, int], ...] | None = None
-
-    @property
-    def n_rows_reduced(self) -> int:
-        return 0 if self.reduced is None else self.reduced.shape[0]
+    reduced: np.ndarray
+    row_index: tuple[tuple[int, int], ...]
 
 
-def verification_matrix_full(N) -> VerificationMatrix:
+def verification_matrix(N) -> VerificationMatrix:
     """The (2p^2+p) x (2p^2+p) matrix whose columns are vec_triangle(M.T N + N M),
-    gathered from N by :func:`_tangent_rows` at every triangle position."""
-    N = as_symmetric(N, even=True)
-    return VerificationMatrix(full=_dense(_tangent_rows(N, *_triangle(N.shape[0]))))
-
-
-def verification_matrix(N, zero_tol: float | None = None) -> VerificationMatrix:
-    """Full verification matrix plus the submatrix of rows at non-edges of the pattern.
-
-    The reduced part has 2p^2 - p - |E| rows, one per non-adjacent pair
-    (i < j) of the labeled graph of N.
+    gathered from N by :func:`_tangent_rows` at every triangle position, plus its
+    2p^2 - p - |E| rows at the non-adjacent pairs (i < j) of the labeled graph of N.
     """
     N = as_symmetric(N, even=True)
-    full = verification_matrix_full(N).full
-    a, b = _nonedge_pairs(N, zero_tol)
+    full = _dense(_tangent_rows(N, *_triangle(N.shape[0])))
+    a, b = _nonedge_pairs(N, None)
     return VerificationMatrix(
         full=full,
         reduced=full[b * (b + 1) // 2 + a, :],  # the triangle row of (a, b)
@@ -293,7 +281,7 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     > rank_tol^2 f >= rank_tol^2 sigma_1^2, the 4 (m + k) eps margin covering
     every rounding term above at least four times over (and rank_tol >= 1 is
     never proven).  So True proves sigma_min > rank_tol * sigma_1, by a margin
-    far wider than the values-only SVD's own O(eps sigma_1) error.  False
+    far wider than the SVD's own O(eps sigma_1) error.  False
     proves nothing, and the caller must decide with the SVD, as it must for a
     zero, NaN or infinite A.
     """
@@ -303,21 +291,17 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     return _cholesky_proves(_gram(A).T, rank_tol * rank_tol + 4 * (m + k) * _EPS)
 
 
-def _svd_full_rank(s: np.ndarray, rank_tol: float) -> bool:
-    # the SVD's rank rule, on the singular values of A in descending order
-    return bool(s[0] > 0.0 and s[-1] > rank_tol * s[0])
+def _rank_deficiency(A: np.ndarray | csr_array, rank_tol: float) -> np.ndarray | None:
+    """None when every singular value of A exceeds ``rank_tol`` times the largest,
+    else the last right singular vector of A.
 
-
-def _full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
-    """Whether every singular value of A exceeds ``rank_tol`` times the largest.
-
-    A passing verdict is proven by :func:`_certified_full_rank`; only where
-    that proof fails does the values-only SVD decide, so every False comes
-    from the SVD.
+    A None is proven by :func:`_certified_full_rank` where it can be; only where
+    that proof fails does one thin SVD decide, so every vector comes from the SVD.
     """
-    return _certified_full_rank(A, rank_tol) or _svd_full_rank(
-        np.linalg.svd(_dense(A), compute_uv=False), rank_tol
-    )
+    if _certified_full_rank(A, rank_tol):
+        return None
+    _, s, Vt = np.linalg.svd(_dense(A), full_matrices=False)
+    return None if s[0] > 0.0 and s[-1] > rank_tol * s[0] else Vt[-1]
 
 
 def _oracle_input(
@@ -340,11 +324,12 @@ def has_sssp_rank(N, rank_tol: float = DEFAULT_RANK_TOL, zero_tol: float | None 
     """SSSP test via row rank of the reduced verification matrix.
 
     True iff the rows indexed by non-edges are linearly independent
-    (singular values above ``rank_tol`` times the largest).  The rows are
-    those of ``verification_matrix(N).reduced``, built directly from N.
+    (singular values above ``rank_tol`` times the largest).  At the default
+    zero_tol the rows are those of ``verification_matrix(N).reduced``, built
+    directly from N.
     """
     N, a, b = _oracle_input(N, rank_tol, zero_tol)
-    return a.size == 0 or _full_rank(_tangent_rows(N, a, b), rank_tol)
+    return a.size == 0 or _rank_deficiency(_tangent_rows(N, a, b), rank_tol) is None
 
 
 def _commutation_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | csr_array:
@@ -387,15 +372,11 @@ def has_sssp_nullspace(
     N, a, b = _oracle_input(N, rank_tol, zero_tol)
     if a.size == 0:
         return True, None
-    A = _commutation_rows(N, a, b)
-    if _certified_full_rank(A, rank_tol):
-        return True, None
-    # where the proof fails, one SVD gives both the verdict and the witness
-    _, s, Vt = np.linalg.svd(_dense(A), full_matrices=False)
-    if _svd_full_rank(s, rank_tol):
+    y = _rank_deficiency(_commutation_rows(N, a, b), rank_tol)
+    if y is None:
         return True, None
     W = np.zeros_like(N)
-    W[a, b] = W[b, a] = Vt[-1]
+    W[a, b] = W[b, a] = y
     return False, W / np.max(np.abs(W))
 
 
@@ -448,7 +429,7 @@ def has_sssp_in_direction(
         raise ValueError("R is not in the tangent space of N")
     keep = ~_nonzero(R, None)[a, b]
     a, b = a[keep], b[keep]
-    return a.size == 0 or _full_rank(_commutation_rows(N, a, b), rank_tol)
+    return a.size == 0 or _rank_deficiency(_commutation_rows(N, a, b), rank_tol) is None
 
 
 def direction_graph(G: LabeledGraph, R) -> LabeledGraph:
@@ -458,25 +439,6 @@ def direction_graph(G: LabeledGraph, R) -> LabeledGraph:
     if R.shape[0] != G.order:
         raise ValueError("R must match the order of G")
     return G.with_edges(graph_of_matrix(R).edges)
-
-
-def direct_sum_interleave(P, Q) -> np.ndarray:
-    """Order-compatible direct sum of matrices of orders 2m and 2r.
-
-    Embeds P on indices {1..m, p+1..p+m} and Q on {m+1..p, p+m+1..2p}
-    (p = m + r), so the result is permutation-similar to P + Q as a matrix
-    but respects the block convention of the symplectic form.  Its symplectic
-    spectrum is the union of the two spectra.
-    """
-    P, Q = _require_pd(P), _require_pd(Q)
-    m, r = P.shape[0] // 2, Q.shape[0] // 2
-    p = m + r
-    idx_p = list(range(m)) + list(range(p, p + m))
-    idx_q = list(range(m, p)) + list(range(p + m, 2 * p))
-    N = np.zeros((2 * p, 2 * p))
-    N[np.ix_(idx_p, idx_p)] = P
-    N[np.ix_(idx_q, idx_q)] = Q
-    return N
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +549,7 @@ def continuation_realize(
         seed_matrix = np.asarray(seed_matrix, dtype=float)
         if seed_matrix.shape != (G.order, G.order):
             raise ValueError("seed matrix must match the pattern order")
-        if not is_positive_definite(seed_matrix):
-            raise NotPositiveDefiniteError("seed matrix is not positive definite")
-        seed_x = seed_matrix[rows, cols]
+        seed_x = _require_pd(seed_matrix)[rows, cols]
     last_err = np.inf
     runs = steps = solves = rejected = singular = 0
     for attempt in range(_MAX_ATTEMPTS):

@@ -121,7 +121,7 @@ def test_criterion_05_verification_matrix_formulas():
         for _ in range(200):
             N = sp.random_symmetric(4, rng) * rng.uniform(0.1, 10.0)
             err = np.max(
-                np.abs(sp.verification_matrix_full(N).full - _verification_grid(N))
+                np.abs(sp.verification_matrix(N).full - _verification_grid(N))
             )
             assert err <= 1e-12
 

@@ -13,7 +13,7 @@ def test_exported_keyword_defaults():
         if inspect.isfunction(obj) and not name.startswith("_")
         for p in inspect.signature(obj).parameters.values()
     )
-    assert count == 17
+    assert count == 16
 
 
 def test_cli_settable_options():

@@ -103,12 +103,12 @@ def test_verification_matrix_shape_and_linearity():
     rng = np.random.default_rng(0)
     for p in (1, 2, 3):
         N = sp.random_symmetric(2 * p, rng)
-        full = sp.verification_matrix_full(N).full
+        full = sp.verification_matrix(N).full
         assert full.shape == (2 * p * p + p, 2 * p * p + p)
         np.testing.assert_allclose(
-            sp.verification_matrix_full(2.5 * N).full, 2.5 * full, atol=1e-12
+            sp.verification_matrix(2.5 * N).full, 2.5 * full, atol=1e-12
         )
-    assert not np.any(sp.verification_matrix_full(np.zeros((4, 4))).full)
+    assert not np.any(sp.verification_matrix(np.zeros((4, 4))).full)
 
 
 def test_reduced_rows_of_cycle_pattern():
@@ -170,14 +170,14 @@ def test_reduced_row_count_formula():
         G = sp.LabeledGraph.from_edges(n, edges)
         N = sp.random_pd_with_graph(G, rng)
         vm = sp.verification_matrix(N)
-        assert vm.n_rows_reduced == 2 * p * p - p - G.size
+        assert vm.reduced.shape[0] == 2 * p * p - p - G.size
 
 
 def test_complete_pattern_vacuously_passes():
     rng = np.random.default_rng(2)
     N = sp.random_pd_with_graph(sp.complete_graph(6), rng)
     vm = sp.verification_matrix(N)
-    assert vm.n_rows_reduced == 0
+    assert vm.reduced.shape[0] == 0
     assert sp.has_sssp_rank(N)
     flag, witness = sp.has_sssp_nullspace(N)
     assert flag and witness is None
@@ -199,8 +199,7 @@ def test_oracles_refuse_a_rank_tolerance_outside_0_1(graph, rank_tol):
 @pytest.mark.parametrize("zero_tol", [np.nan, -1.0, np.inf, -np.inf])
 def test_structural_zero_rule_refuses_a_negative_or_infinite_tolerance(graph, zero_tol):
     N = sp.random_pd_with_graph(graph, np.random.default_rng(0))
-    calls = [sp.has_sssp_rank, sp.has_sssp_nullspace, sp.verification_matrix,
-             sp.graph_of_matrix, sp.sparsity_audit,
+    calls = [sp.has_sssp_rank, sp.has_sssp_nullspace, sp.graph_of_matrix, sp.sparsity_audit,
              lambda N, zero_tol: sp.has_sssp_in_direction(N, np.zeros((4, 4)), zero_tol=zero_tol)]
     for call in calls:
         with pytest.raises(ValueError, match="zero_tol must be nonnegative and finite"):
@@ -873,20 +872,26 @@ def test_both_oracles_reject_the_same_indefinite_input(N):
 
 @pytest.mark.parametrize("zero_tol", [None, 0.0, 1e-3, 0.3])
 def test_reduced_rows_sit_at_the_non_edges_of_the_graph(zero_tol):
-    # one structural-zero rule: the verification matrix drops exactly the
-    # edges that graph_of_matrix reports, at every tolerance
+    # one structural-zero rule: the oracles' rows drop exactly the edges that
+    # graph_of_matrix reports, at every tolerance, and are the full matrix's
+    # rows there; the public reduced matrix is the same cut at the default
     rng = np.random.default_rng(21)
     for p in range(1, 6):
         n = 2 * p
         N = sp.random_pd(n, rng) * (rng.uniform(size=(n, n)) < 0.5)
         N = N + N.T + 2 * n * np.eye(n) + 1e-12 * sp.random_symmetric(n, rng)
         G = sp.graph_of_matrix(N, zero_tol)
-        V = sp.verification_matrix(N, zero_tol)
-        assert V.row_index == tuple(
+        a, b = sssp._nonedge_pairs(N, zero_tol)
+        row_index = tuple(zip((a + 1).tolist(), (b + 1).tolist()))
+        assert row_index == tuple(
             (i, j) for i, j in sp.triangle_pairs(n) if i != j and not G.has_edge(i, j)
         )
-        rows = [sp.triangle_pairs(n).index(ij) for ij in V.row_index]
-        assert np.array_equal(V.reduced, V.full[rows])
+        V = sp.verification_matrix(N)
+        rows = [sp.triangle_pairs(n).index(ij) for ij in row_index]
+        assert np.array_equal(sssp._dense(sssp._tangent_rows(N, a, b)), V.full[rows])
+        if zero_tol is None:
+            assert V.row_index == row_index
+            assert np.array_equal(V.reduced, V.full[rows])
 
 
 @settings(max_examples=40, deadline=None)
@@ -916,8 +921,8 @@ def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle called the reference path")
 
-    full = sssp.verification_matrix_full
-    for name in ("sp_basis", "verification_matrix_full", "verification_matrix"):
+    public = sssp.verification_matrix
+    for name in ("sp_basis", "verification_matrix"):
         monkeypatch.setattr(sssp, name, refuse)
     shapes = []
     svd = np.linalg.svd
@@ -931,10 +936,10 @@ def test_oracles_skip_the_basis_and_the_square_systems(monkeypatch):
     N = sp.shear_square(sp.path_shear_block(3))  # fails, so the witness path runs too
     assert not sp.has_sssp_rank(N)
     assert not sp.has_sssp_nullspace(N)[0]
-    # one values-only SVD for the rank verdict, one for the nullspace verdict and witness
+    # one thin SVD for each verdict, the nullspace one's also giving the witness
     assert len(shapes) == 2 and max(max(s) for s in shapes) <= 6 * 7 // 2
-    # the public verification matrices read the gathered rows, not the basis
-    monkeypatch.setattr(sssp, "verification_matrix_full", full)
+    # the public verification matrix reads the gathered rows, not the basis
+    monkeypatch.setattr(sssp, "verification_matrix", public)
     vm = sp.verification_matrix(N)
     assert vm.full.shape == (21, 21) and vm.reduced.shape == (8, 21)
 
@@ -1115,15 +1120,49 @@ def test_certified_oracles_match_the_svd_only_oracles_and_their_svd_calls(monkey
                 assert (got_W is None) == (W is None)
                 assert W is None or got_W.tobytes() == W.tobytes()
             assert got == want
-            # a pass is proven without any SVD; a failure makes exactly the reference's
-            # calls, except that the nullspace oracle makes only the reference's witness
-            # SVD and decides from its values
-            if oracle is sp.has_sssp_nullspace and not want:
-                want_calls = [c for c in want_calls if c[1:3] == (False, True)]
-                assert len(want_calls) == 1
+            # a pass is proven without any SVD; a failure makes one thin SVD of
+            # the oracle's own matrix, the one the reference's first call reads
+            if not want:
+                shape, _, _, rows = want_calls[0]
+                want_calls = [(shape, False, True, rows)]
             assert got_calls == ([] if want else want_calls)
             tally[want] += 1
     assert tally[True] >= 10 and tally[False] >= 8, tally
+
+
+def _integer_pd_corpus():
+    """100 seeded integer PD matrices at p = 3, 4 (edges +-1, +-2 at density 0.4,
+    each diagonal entry the row's absolute sum plus 1 or 2), then the exact
+    failures: I4, I6, diag(1, 2, 2, 1), the interleaved sum of two equal integer
+    blocks and the shear squares of the path blocks at p = 3..6."""
+    rng = np.random.default_rng(28)
+    cases = []
+    for _ in range(100):
+        n = 2 * int(rng.choice([3, 4]))
+        E = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n)) * (rng.uniform(size=(n, n)) < 0.4)
+        E = np.triu(E, 1) + np.triu(E, 1).T
+        cases.append(E + np.diag(np.abs(E).sum(axis=1) + rng.integers(1, 3, n)))
+    block = np.array([[3.0, 1, 0, 1], [1, 3, 1, 0], [0, 1, 2, 0], [1, 0, 0, 2]])
+    failures = [np.eye(4), np.eye(6), np.diag([1.0, 2, 2, 1]),
+                sp.direct_sum_interleave(block, block)]
+    failures += [sp.shear_square(sp.path_shear_block(p)) for p in range(3, 7)]
+    return cases, failures
+
+
+def test_oracles_match_the_exact_rank_of_the_integer_reduced_matrix():
+    import sympy
+
+    cases, failures = _integer_pd_corpus()
+    exact = []
+    for N in cases + failures:
+        R = sp.verification_matrix(N).reduced
+        assert np.array_equal(R, np.round(R))
+        full_row_rank = sympy.Matrix(R.astype(np.int64).tolist()).rank() == R.shape[0]
+        assert sp.has_sssp_rank(N) is full_row_rank
+        assert sp.has_sssp_nullspace(N)[0] is full_row_rank
+        exact.append(full_row_rank)
+    assert not any(exact[len(cases):])
+    assert sum(exact[: len(cases)]) >= 50, sum(exact[: len(cases)])
 
 
 def _sparse_gram_cases():

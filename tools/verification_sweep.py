@@ -3,7 +3,7 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/verification_sweep.py [--reps 3] [--seed 0]
 
 For each p one 30%-density positive definite matrix of order 2p is drawn.
-``verification_matrix_full`` gathers every triangle row straight from N;
+``verification_matrix(N).full`` gathers every triangle row straight from N;
 the basis route stacks vec_triangle(M.T N + N M) over the 2p^2 + p elements
 of ``sp_basis(p)``, as the tests' reference does.  Each route reports its
 best of ``--reps`` wall times (ms) and, from one more call, its tracemalloc
@@ -33,7 +33,7 @@ def basis_route(N):
 
 
 def gathered(N):
-    return sssp.verification_matrix_full(N).full
+    return sssp.verification_matrix(N).full
 
 
 def measure(f, N, reps):
