@@ -242,7 +242,7 @@ def catalogue_as_dicts(entries: list[CatalogueEntry]) -> list[dict]:
                 "pattern_edges": sorted(list(edge) for edge in e.pattern.edges),
                 "verdict": e.verdict,
                 "justification": e.justification,
-                "witness": None if e.witness is None else [list(map(float, r)) for r in e.witness],
+                "witness": None if e.witness is None else e.witness.tolist(),
                 "checks": {k: bool(v) for k, v in e.checks.items()},
                 "all_checks_pass": e.ok,
             }

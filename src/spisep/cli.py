@@ -29,7 +29,6 @@ from .core import (
     pattern_tol,
     symplectic_spectrum,
     williamson,
-    omega,
 )
 from .graphs import CoupledGraph, graph_of_matrix, path_shear_block
 from .io import ParseError, load_graph, load_matrix, save_matrix
@@ -59,10 +58,6 @@ def _emit(report: dict, compact: bool) -> None:
         print(json.dumps(report, indent=2))
 
 
-def _matrix_list(M: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in M]
-
-
 def _parse_targets(text: str | None) -> list[float] | None:
     if text is None:
         return None
@@ -90,17 +85,13 @@ def cmd_spectrum(args) -> dict:
 def cmd_williamson(args) -> dict:
     N = load_matrix(args.matrix)
     pair = williamson(N)
-    n = N.shape[0]
-    p = n // 2
-    diag_res = float(np.max(np.abs(pair.S.T @ N @ pair.S - pair.diagonal())))
-    om = omega(p)
-    symp_res = float(np.max(np.abs(pair.S.T @ om @ pair.S - om)))
     return {
         "command": "williamson",
-        "order": n,
+        "order": N.shape[0],
         "symplectic_eigenvalues": list(pair.d),
-        "S": _matrix_list(pair.S),
-        "residuals": {"diagonalization": diag_res, "symplectic": symp_res},
+        "S": pair.S.tolist(),
+        "residuals": {"diagonalization": pair.diagonalization_residual,
+                      "symplectic": pair.symplectic_residual},
     }
 
 
@@ -119,7 +110,7 @@ def cmd_sssp(args) -> dict:
         "sssp": null_verdict,
         "rank_test": rank_verdict,
         "nullspace_test": null_verdict,
-        "witness": None if witness is None else _matrix_list(witness),
+        "witness": None if witness is None else witness.tolist(),
         "tolerances": {"rank_tol": args.tol_rank, "zero_tol": zero_tol},
     }
     if args.direction:
@@ -179,7 +170,7 @@ def cmd_construct(args) -> dict:
         "out": args.out,
         "order": N.shape[0],
         "spectrum": list(symplectic_spectrum(N).values),
-        "entries": None if args.out else _matrix_list(N),
+        "entries": None if args.out else N.tolist(),
     }
 
 

@@ -26,7 +26,7 @@ from .core import (
     is_symplectic_pd,
     pattern_tol,
 )
-from .graphs import LabeledGraph, complete_graph, graph_of_matrix
+from .graphs import LabeledGraph, graph_of_matrix
 
 _MAX_RESAMPLE = 100
 
@@ -143,24 +143,18 @@ _SIGNS = (-1.0, 1.0)
 def random_pd_with_graph(G: LabeledGraph, rng: np.random.Generator) -> np.ndarray:
     """A positive definite matrix whose labeled graph is exactly G.
 
-    Each edge, in order, draws a magnitude from [0.2, 1) and then a sign, so
+    Each edge, in sorted order, draws a magnitude from [0.2, 1) and then a sign, so
     edge entries are bounded away from zero; the diagonal is then shifted to
     put the smallest eigenvalue at a draw from [0.5, 1.5), so the pattern is
     exact by construction.
     """
     n = G.order
     W = np.zeros((n, n))
-    for i, j in G.edges:
+    for i, j in sorted(G.edges):
         W[i - 1, j - 1] = W[j - 1, i - 1] = rng.uniform(0.2, 1.0) * _SIGNS[rng.integers(0, 2)]
     lam = np.linalg.eigvalsh(W)[0] if G.edges else 0.0
     W.flat[:: n + 1] = abs(min(lam, 0.0)) + rng.uniform(0.5, 1.5)
     return W
-
-
-def _two_cliques_graph(p: int) -> LabeledGraph:
-    edges = [(i, j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-    edges += [(p + i, p + j) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-    return LabeledGraph.from_edges(2 * p, edges)
 
 
 def random_smear(target, seed: int = 0, mode: str = "complete") -> np.ndarray:
@@ -172,13 +166,14 @@ def random_smear(target, seed: int = 0, mode: str = "complete") -> np.ndarray:
     matrix.  The intended pattern is checked and the draw resampled on
     accidental zeros, so the result is deterministic in the seed.
     """
+    if mode not in ("two_cliques", "complete"):
+        raise ValueError("mode must be 'two_cliques' or 'complete'")
     t = _check_targets(target)
     p = t.size
     rng = np.random.default_rng(seed)
     D2 = np.diag(np.concatenate([t, t]))
-    want = _two_cliques_graph(p) if mode == "two_cliques" else complete_graph(2 * p)
-    if mode not in ("two_cliques", "complete"):
-        raise ValueError("mode must be 'two_cliques' or 'complete'")
+    # the wanted pattern, diagonal set: a tiny diagonal entry is no accidental zero
+    want = np.kron(np.eye(2) if mode == "two_cliques" else np.ones((2, 2)), np.ones((p, p)))
     for _ in range(_MAX_RESAMPLE):
         SA = basic_symplectic("block_diag", random_invertible(p, rng))
         N = SA.T @ D2 @ SA
@@ -186,7 +181,7 @@ def random_smear(target, seed: int = 0, mode: str = "complete") -> np.ndarray:
             RB = basic_symplectic("shear", random_symmetric(p, rng))
             N = RB.T @ N @ RB
         N = as_symmetric(N)
-        if graph_of_matrix(N) == want:
+        if np.array_equal(_nonzero(N, None) | np.eye(2 * p, dtype=bool), want):
             return N
     raise ArithmeticError("smearing kept producing accidental zeros")
 

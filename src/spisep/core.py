@@ -59,20 +59,17 @@ def _symmetric_block(B) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-@lru_cache(maxsize=None)
-def _omega_cached(p: int) -> np.ndarray:
+@lru_cache(maxsize=8)
+def omega(p: int) -> np.ndarray:
+    """The 2p x 2p matrix [[0, I], [-I, 0]] defining the symplectic form, read-only."""
+    if p < 1:
+        raise ValueError("p must be a positive integer")
+    p = int(p)
     om = np.zeros((2 * p, 2 * p))
     om[:p, p:] = np.eye(p)
     om[p:, :p] = -np.eye(p)
     om.setflags(write=False)
     return om
-
-
-def omega(p: int) -> np.ndarray:
-    """The 2p x 2p matrix [[0, I], [-I, 0]] defining the symplectic form."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    return _omega_cached(int(p))
 
 
 def _check_tol(name: str, tol: float) -> None:
@@ -91,16 +88,18 @@ def _check_targets(target) -> np.ndarray:
     return t
 
 
-def is_symplectic(S, tol: float = 1e-8) -> bool:
-    """True iff ``S.T @ Omega @ S`` equals Omega to within ``tol`` (max norm).
-    A tol that is negative or not finite raises ValueError."""
-    _check_tol("tol", tol)
+def _symplectic_residual(S: np.ndarray) -> float:
+    # max |S.T @ Omega @ S - Omega| for a square S of even order
+    om = omega(S.shape[0] // 2)
+    return float(np.max(np.abs(S.T @ om @ S - om)))
+
+
+def is_symplectic(S) -> bool:
+    """True iff ``S.T @ Omega @ S`` equals Omega to within 1e-8 (max norm)."""
     S = as_square(S)
-    n = S.shape[0]
-    if n % 2 != 0:
+    if S.shape[0] % 2 != 0:
         raise ValueError("symplectic matrices have even order")
-    om = omega(n // 2)
-    return float(np.max(np.abs(S.T @ om @ S - om))) <= tol
+    return _symplectic_residual(S) <= 1e-8
 
 
 def is_hamiltonian(M) -> bool:
@@ -276,11 +275,15 @@ def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Symplect
 class WilliamsonPair:
     """A symplectic S and positive diagonal d with S.T @ N @ S = diag(d, d).
 
-    S is not unique; only the reconstruction residuals are contractual.
+    S is not unique; only the reconstruction residuals are contractual:
+    ``diagonalization_residual`` is max |S.T @ N @ S - diag(d, d)| and
+    ``symplectic_residual`` is max |S.T @ Omega @ S - Omega|.
     """
 
     S: np.ndarray
     d: tuple[float, ...]
+    diagonalization_residual: float
+    symplectic_residual: float
 
     def diagonal(self) -> np.ndarray:
         dd = np.concatenate([self.d, self.d])
@@ -328,20 +331,21 @@ def williamson(N) -> WilliamsonPair:
     """Williamson normal form of a positive definite matrix.
 
     S and d come from the eigenvectors of the Hermitian i K, with
-    K = L.T @ Omega @ L (see :func:`_williamson_columns`); S.T @ N @ S =
-    diag(d, d) and the symplectic identity of S are both checked to 1e-8
-    relative to max |N|.
+    K = L.T @ Omega @ L (see :func:`_williamson_columns`).  Both residuals
+    are returned on the pair, checked to 1e-8 max |N| and 1e-8 max(1, max |N|).
     """
     N = _require_pd(N)
     d, S = _williamson_columns(N)
     scale_n = float(np.max(np.abs(N)))
     R = S.T @ N @ S
     R.flat[:: N.shape[0] + 1] -= np.concatenate([d, d])
-    if np.max(np.abs(R)) > 1e-8 * scale_n:
+    diag_res = float(np.max(np.abs(R)))
+    if diag_res > 1e-8 * scale_n:
         raise np.linalg.LinAlgError("Williamson reconstruction residual too large")
-    if not is_symplectic(S, tol=1e-8 * max(1.0, scale_n)):
+    symp_res = _symplectic_residual(S)
+    if symp_res > 1e-8 * max(1.0, scale_n):
         raise np.linalg.LinAlgError("Williamson factor is not symplectic")
-    return WilliamsonPair(S=S, d=tuple(float(x) for x in d))
+    return WilliamsonPair(S, tuple(float(x) for x in d), diag_res, symp_res)
 
 
 def is_symplectic_pd(N) -> bool:

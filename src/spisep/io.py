@@ -79,7 +79,7 @@ def save_matrix(path: str, N) -> None:
         with open(path, "wb") as fh:
             scipy.io.mmwrite(fh, scipy.sparse.coo_matrix(N), symmetry="symmetric")
         return
-    payload = {"order": N.shape[0], "entries": [[float(x) for x in row] for row in N]}
+    payload = {"order": N.shape[0], "entries": N.tolist()}
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")

@@ -14,7 +14,6 @@ vertex subsets, so no graph of order 20 or less reaches that budget.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import symplectic_spectrum
@@ -30,17 +29,17 @@ from .graphs import (
 _CLOSED_SET_BUDGET = 2**20
 
 
-def _rule(G: LabeledGraph, pairs=(), self_forcing: bool = True) -> tuple[list[int], int, int, int]:
+def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[list[int], int, int, int]:
     """``(masks, n, self_ok, pinned)`` of a forcing rule on G, as bitmasks.
 
-    The relevant set of v is N(v), plus its partner for each coupled pair in
-    ``pairs``.  A vertex with an empty relevant set can never be forced, so
-    it is pinned; every other vertex may force itself when
+    The relevant set of v is N(v); the coupled rule is the loop rule on the
+    coupling closure graph.  A vertex with an empty relevant set can never
+    be forced, so it is pinned; every other vertex may force itself when
     ``self_forcing`` holds (the loop and coupled rules).
     """
     n = G.order
     masks = [0] * n
-    for i, j in itertools.chain(G.edges, pairs):
+    for i, j in G.edges:
         masks[i - 1] |= 1 << (j - 1)
         masks[j - 1] |= 1 << (i - 1)
     live = sum(1 << v for v in range(n) if masks[v])
@@ -161,7 +160,7 @@ def coupled_closure(CG: CoupledGraph, blue) -> frozenset[int]:
     The relevant set of v is N(v) together with its coupled partner; the
     final coloring does not depend on the order of forces.
     """
-    return _close(_rule(CG.graph, CG.coupling.pairs), blue)
+    return _close(_rule(coupling_closure_graph(CG)), blue)
 
 
 def loop_closure(G: LabeledGraph, blue) -> frozenset[int]:
@@ -177,7 +176,7 @@ def standard_closure(G: LabeledGraph, blue) -> frozenset[int]:
 
 def zc_minimum_set(CG: CoupledGraph) -> frozenset[int]:
     """A minimum coupled zero forcing set of the coupled graph."""
-    return _to_set(_min_forcing_set(*_rule(CG.graph, CG.coupling.pairs))[1])
+    return _to_set(_min_forcing_set(*_rule(coupling_closure_graph(CG)))[1])
 
 
 def zc_number(CG: CoupledGraph) -> int:

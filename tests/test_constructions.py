@@ -125,6 +125,10 @@ def test_random_smear_modes():
     assert not np.array_equal(N, sp.random_smear(t, seed=6, mode="complete"))
     with pytest.raises(ValueError):
         sp.random_smear(t, seed=5, mode="banana")
+    # seed 235 at p = 1 draws diag(4.6e-6, 2.2e5): its first entry is below
+    # pattern_tol but no edge, so the draw is kept rather than resampled
+    N = sp.random_smear([1.0], seed=235, mode="two_cliques")
+    assert N[0, 0] < pattern_tol(N) and N[0, 1] == 0.0
 
 
 def test_smeared_block_matrix_fails_sssp_when_spectrum_flat():
@@ -293,10 +297,10 @@ def test_sparsity_audit_triangular_path_equality():
 
 
 def _single_pd_reference(G, rng, margin=(0.5, 1.5)):
-    # the sampler as a scalar loop over the edges
+    # the sampler as a scalar loop over the edges in sorted order
     n = G.order
     W = np.zeros((n, n))
-    for i, j in G.edges:
+    for i, j in sorted(G.edges):
         w = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         W[i - 1, j - 1] = W[j - 1, i - 1] = w
     lam = np.linalg.eigvalsh(W)[0] if G.edges else 0.0
@@ -316,6 +320,24 @@ def test_pd_sampler_is_bit_identical_to_references():
         got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
             assert np.array_equal(sp.random_pd_with_graph(G, got), _single_pd_reference(G, ref))
+
+
+def test_pd_sampler_does_not_depend_on_how_the_graph_was_built():
+    # equal graphs built from shuffled edge lists can iterate their edge sets in
+    # different orders
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        n = int(rng.integers(4, 13))
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.uniform() < 0.4]
+        G = sp.LabeledGraph.from_edges(n, edges)
+        N = sp.random_pd_with_graph(G, np.random.default_rng(n))
+        for _ in range(3):
+            shuffled = [edges[k][::-1] if rng.uniform() < 0.5 else edges[k]
+                        for k in rng.permutation(len(edges))]
+            H = sp.LabeledGraph.from_edges(n, shuffled)
+            assert H == G
+            assert np.array_equal(sp.random_pd_with_graph(H, np.random.default_rng(n)), N)
 
 
 def test_sparsity_audit_reducible_matrix():

@@ -13,7 +13,7 @@ def test_exported_keyword_defaults():
         if inspect.isfunction(obj) and not name.startswith("_")
         for p in inspect.signature(obj).parameters.values()
     )
-    assert count == 16
+    assert count == 15
 
 
 def test_cli_settable_options():
