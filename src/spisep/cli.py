@@ -226,7 +226,7 @@ def cmd_audit_sparsity(args) -> dict:
 # option -> add_argument keywords; each subcommand names the ones it reads
 _OPTIONS = {
     "--tol-cluster": dict(type=float, default=DEFAULT_CLUSTER_TOL,
-                          help="relative gap for multiplicity clustering"),
+                          help="relative width bound of a multiplicity cluster"),
     "--tol-rank": dict(type=float, default=DEFAULT_RANK_TOL,
                        help="relative singular value threshold for rank decisions"),
     "--tol-zero": dict(type=float, default=None,

@@ -16,6 +16,7 @@ from scipy.sparse import csgraph
 
 from .core import (
     _check_targets,
+    _invertible,
     _nonzero,
     _require_pd,
     _symmetric_block,
@@ -118,10 +119,11 @@ def realize_nonneg_symplectic(S, target) -> np.ndarray:
 
 
 def random_invertible(p: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform [-1, 1] entries, resampled while nearly singular."""
+    """Uniform [-1, 1] entries, resampled while the smallest LU pivot is at most
+    p eps times the largest, as ``basic_symplectic("block_diag")`` refuses."""
     for _ in range(_MAX_RESAMPLE):
         A = rng.uniform(-1.0, 1.0, size=(p, p))
-        if abs(np.linalg.det(A)) >= 1e-8:
+        if _invertible(A):
             return A
     raise ArithmeticError("could not sample an invertible matrix")
 

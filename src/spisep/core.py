@@ -215,9 +215,9 @@ class SymplecticSpectrum:
     """The p symplectic eigenvalues of a 2p x 2p positive definite matrix.
 
     ``values`` is sorted ascending.  ``clusters`` groups numerically equal
-    values into (representative, multiplicity) pairs using single-linkage on
-    the relative gap ``cluster_tol``; floating point forces some such
-    convention, and the one used is recorded on the result.
+    values into (mean, multiplicity) pairs by :func:`cluster_values`, none
+    wider than ``cluster_tol`` times its largest value; floating point forces
+    some such convention, and the one used is recorded on the result.
     """
 
     values: tuple[float, ...]
@@ -243,13 +243,25 @@ class SymplecticSpectrum:
         return np.asarray(self.values)
 
 
+def _cluster_ends(vals: np.ndarray, tol: float) -> list[int]:
+    """The one rule for equal values: the boundaries 0 = e_0 < ... < e_c = n of
+    the clusters of n ascending values, none for n = 0.  A cluster opens at its
+    smallest value s and takes each next v while v - s <= tol max(v, 1e-300), so
+    none is wider than tol times its largest value; at tol = 0 only ties group."""
+    vs = vals.tolist()
+    ends = [0]
+    for i, v in enumerate(vs):
+        if v - vs[ends[-1]] > tol * max(v, 1e-300):
+            ends.append(i)
+    return [*ends, len(vs)] if vs else []
+
+
 def cluster_values(values, cluster_tol: float) -> tuple[tuple[float, int], ...]:
-    """Group sorted positive values into multiplicity clusters by relative gap.
-    A cluster_tol that is negative or not finite raises ValueError."""
+    """Group positive values into ascending (mean, multiplicity) clusters by
+    :func:`_cluster_ends`; a negative or non-finite cluster_tol raises ValueError."""
     _check_tol("cluster_tol", cluster_tol)
     vals = np.sort(np.asarray(values, dtype=float))
-    cuts = np.flatnonzero(np.diff(vals) > cluster_tol * np.maximum(vals[1:], 1e-300)) + 1
-    ends = [0, *cuts.tolist(), vals.size] if vals.size else []
+    ends = _cluster_ends(vals, cluster_tol)
     # a slice sum over its length is np.mean bit for bit, without its overhead
     return tuple((float(vals[i:j].sum()) / (j - i), j - i) for i, j in zip(ends, ends[1:]))
 
@@ -382,6 +394,12 @@ def symplectic_pd_inverse_identity(N) -> bool:
     return float(np.max(np.abs(Ninv - blocked))) <= _SYMPLECTIC_PD_TOL * scale
 
 
+def _invertible(A: np.ndarray) -> bool:
+    # the one invertibility rule: on LU pivots, so it ignores the scale of A
+    u = np.abs(np.diag(dgetrf(A)[0]))
+    return bool(u.min() > A.shape[0] * _EPS * u.max())
+
+
 def basic_symplectic(kind: str, arg) -> np.ndarray:
     """A basic symplectic matrix other than Omega, which :func:`omega` builds.
 
@@ -390,8 +408,7 @@ def basic_symplectic(kind: str, arg) -> np.ndarray:
     """
     if kind == "block_diag":
         A = as_square(arg)
-        u = np.abs(np.diag(dgetrf(A)[0]))  # LU pivots, so the test ignores A's scale
-        if not u.min() > A.shape[0] * _EPS * u.max():
+        if not _invertible(A):
             raise ValueError("block_diag factor must be invertible")
         Ainv_t = np.linalg.inv(A).T
         m = A.shape[0]

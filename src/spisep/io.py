@@ -15,7 +15,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .core import as_symmetric
+from .core import _symmetric_block, as_symmetric
 from .graphs import Coupling, LabeledGraph
 
 
@@ -42,7 +42,9 @@ def _is_matrix_market(path: str) -> bool:
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a symmetric matrix from JSON or Matrix Market.  A complex Matrix
-    Market file raises ParseError: its imaginary part would be dropped."""
+    Market file raises ParseError, since its imaginary part would be dropped,
+    and so does a matrix that fails the symmetric-block rule of
+    :func:`core._symmetric_block`, since its symmetric part is another matrix."""
     if _is_matrix_market(path):
         try:
             M = scipy.io.mmread(path)
@@ -51,23 +53,23 @@ def load_matrix(path: str) -> np.ndarray:
         if np.iscomplexobj(M):
             raise ParseError(f"{path}: complex Matrix Market files are not supported")
         M = np.asarray(M.todense() if scipy.sparse.issparse(M) else M, dtype=float)
+    else:
         try:
-            return as_symmetric(M)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"bad matrix file {path}: {exc}") from exc
+        try:
+            order = int(data["order"])
+            M = np.asarray(data["entries"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: expected fields 'order' and 'entries'") from exc
+        if M.shape != (order, order):
+            raise ParseError(f"{path}: entries shape {M.shape} does not match order {order}")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"bad matrix file {path}: {exc}") from exc
-    try:
-        order = int(data["order"])
-        entries = np.asarray(data["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: expected fields 'order' and 'entries'") from exc
-    if entries.shape != (order, order):
-        raise ParseError(f"{path}: entries shape {entries.shape} does not match order {order}")
-    return as_symmetric(entries)
+        return _symmetric_block(M)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_matrix(path: str, N) -> None:

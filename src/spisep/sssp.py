@@ -23,6 +23,7 @@ from .core import (
     NotPositiveDefiniteError,
     _check_targets,
     _cholesky_proves,
+    _cluster_ends,
     _min_norm_solve,
     _nonzero,
     _require_pd,
@@ -395,22 +396,26 @@ def in_tangent_space(N, R) -> bool:
 
     A symplectic S with S.T N S = diag(d, d) carries this space onto the one
     at diag(d, d), so R is tangent iff X = S.T R S has X[k, k] + X[k+p, k+p]
-    = 0 for every k and, for each pair k, l with |d_k - d_l| <=
-    DEFAULT_CLUSTER_TOL max(d_k, d_l), also X[k, l] + X[k+p, l+p] = 0 and
-    X[k, l+p] = X[l, k+p]; each to 1e-8 max(1, max |X|).  Raises
-    NotPositiveDefiniteError unless N is positive definite.
+    = 0 for every k and, for each pair k, l of values in one cluster of
+    :func:`core.cluster_values` at DEFAULT_CLUSTER_TOL, also X[k, l] +
+    X[k+p, l+p] = 0 and X[k, l+p] = X[l, k+p]; each to 1e-8 max(1, max |X|).
+    Raises NotPositiveDefiniteError unless N is positive definite.
     """
-    N = _require_pd(N)
-    R = as_symmetric(R)
+    return _is_tangent(_require_pd(N), as_symmetric(R))
+
+
+def _is_tangent(N: np.ndarray, R: np.ndarray) -> bool:
+    # in_tangent_space on a gated N and a symmetric R
     if R.shape != N.shape:
         raise ValueError("R must match the order of N")
     d, S = _williamson_columns(N)
     p = d.size
     X = S.T @ R @ S
     C = X[:p, p:]
-    near = np.abs(d[:, None] - d) <= DEFAULT_CLUSTER_TOL * np.maximum.outer(d, d)
-    gap = np.maximum(np.abs(X[:p, :p] + X[p:, p:]), np.abs(C - C.T))[near]
-    return float(np.max(gap)) <= 1e-8 * max(1.0, float(np.max(np.abs(X))))
+    off = np.maximum(np.abs(X[:p, :p] + X[p:, p:]), np.abs(C - C.T))
+    ends = _cluster_ends(d, DEFAULT_CLUSTER_TOL)
+    gap = max(float(np.max(off[i:j, i:j])) for i, j in zip(ends, ends[1:]))
+    return gap <= 1e-8 * max(1.0, float(np.max(np.abs(X))))
 
 
 def has_sssp_in_direction(
@@ -425,7 +430,7 @@ def has_sssp_in_direction(
     """
     N, a, b = _oracle_input(N, rank_tol, zero_tol)
     R = as_symmetric(R)
-    if not in_tangent_space(N, R):
+    if not _is_tangent(N, R):
         raise ValueError("R is not in the tangent space of N")
     keep = ~_nonzero(R, None)[a, b]
     a, b = a[keep], b[keep]
@@ -454,8 +459,8 @@ _MAX_ATTEMPTS = 8
 _MAX_STEPS = 100
 _MIN_STEP = 1e-10
 _SPECTRUM_TOL = 1e-6
-# targets within this relative gap get pair rows: without them the loop began
-# to fail at relative gaps of about 2e-5 and below, and realize-ladder's
+# targets in one cluster at this tolerance get pair rows: without them the loop
+# began to fail at relative gaps of about 2e-5 and below, and realize-ladder's
 # smallest relative gap, 2.5e-3, lies above it, so its rows are unchanged
 _PAIR_GAP = 1e-3
 
@@ -495,11 +500,12 @@ def continuation_realize(
     routine supplies the witness.
 
     Each step is the minimum-norm solution of J s = -f, from one Cholesky
-    factor of the r x r matrix J J.T (J has r rows, one per target plus two
-    per near pair, and a column per free entry), halved until it stays in the
-    positive definite cone and decreases |f|; one Williamson form per trial
-    point gives both f and J.  Targets within a relative gap of 1e-3 add the
-    pair rows of :func:`_spectral_rows`, so repeated targets converge too.
+    factor of the r x r matrix J J.T (J has r rows, one per target plus the
+    two of :func:`_spectral_rows` per pair in one target cluster, and a column
+    per free entry), halved until it stays in the positive definite cone and
+    decreases |f|; one Williamson form per trial point gives both f and J.
+    The clusters are :func:`core.cluster_values`'s at a tolerance of 1e-3, so
+    a cluster of m targets has m^2 rows and repeated targets converge too.
     An attempt ends when it meets the spectrum, after 100 steps, when its
     line search halves the step below 1e-10, or when J loses row rank, where
     the factorization fails and no unique minimum-norm step exists.
@@ -523,8 +529,10 @@ def continuation_realize(
 
     free = [(i, i) for i in range(1, G.order + 1)] + sorted(G.edges)
     rows, cols = (np.array(ix) - 1 for ix in zip(*free))
+    ends = _cluster_ends(target, _PAIR_GAP)
+    first = np.repeat(ends[:-1], np.diff(ends))  # the first index of each target's cluster
     k, l = np.triu_indices(p, 1)
-    near = target[l] - target[k] <= _PAIR_GAP * target[l]
+    near = first[k] == first[l]
     k, l = k[near], l[near]
     pair_zeros = np.zeros(2 * k.size)
 

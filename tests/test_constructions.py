@@ -108,6 +108,27 @@ def test_realize_shear_tripath_spectrally_arbitrary_family():
     np.testing.assert_allclose(sp.symplectic_spectrum(N).as_array(), t, atol=1e-8)
 
 
+class _FixedDraws:
+    # a generator whose every uniform draw is the one given matrix
+    def __init__(self, A):
+        self.A = A
+
+    def uniform(self, low, high, size):
+        return self.A.copy()
+
+
+def test_random_invertible_resamples_exactly_what_block_diag_refuses():
+    # 1e-3 I has determinant 1e-9 but equal LU pivots, so basic_symplectic
+    # takes it, and a determinant rule once resampled it 100 times
+    A = sp.random_invertible(3, _FixedDraws(1e-3 * np.eye(3)))
+    assert np.array_equal(A, 1e-3 * np.eye(3))
+    assert np.array_equal(sp.basic_symplectic("block_diag", A), np.diag([1e-3] * 3 + [1e3] * 3))
+    with pytest.raises(ArithmeticError):
+        sp.random_invertible(3, _FixedDraws(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="must be invertible"):
+        sp.basic_symplectic("block_diag", np.ones((3, 3)))
+
+
 def test_random_smear_modes():
     t = [1.0, 2.0, 3.0]
     N = sp.random_smear(t, seed=5, mode="complete")

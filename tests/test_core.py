@@ -682,12 +682,14 @@ def test_multiplicities_match_the_exact_square_free_factorization():
 
 
 def _cluster_values_reference(values, cluster_tol):
-    """The former per-value loop, with np.mean on each cluster."""
+    """A per-value loop with np.mean on each cluster: a cluster opens at its
+    smallest value and takes each next value within cluster_tol times that
+    value of the cluster's first one."""
     vals = np.sort(np.asarray(values, dtype=float))
     clusters = []
     start = 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or (vals[i] - vals[i - 1]) > cluster_tol * max(vals[i], 1e-300):
+        if i == len(vals) or (vals[i] - vals[start]) > cluster_tol * max(vals[i], 1e-300):
             chunk = vals[start:i]
             clusters.append((float(np.mean(chunk)), len(chunk)))
             start = i
@@ -708,3 +710,91 @@ def test_cluster_values_match_loop_reference():
             # tol 0 separates exact ties (gap 0) from every positive gap
             for t in (tol, 0.0):
                 assert cluster_values(vals, t) == _cluster_values_reference(vals, t)
+
+
+def test_fifty_values_closer_than_tol_do_not_chain():
+    # consecutive gaps of 0.9 tol, spanning 44 tol, formed one cluster of 50
+    # when clusters were linked by consecutive gaps
+    d = 1.0 + 0.9e-6 * np.arange(50)
+    spec = sp.symplectic_spectrum(np.diag(np.concatenate([d, d])))
+    assert spec.multiplicities == (2,) * 25 and spec.max_multiplicity == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tol=st.sampled_from([0.0, 1e-6, 0.1]),
+    base=st.floats(min_value=0.1, max_value=10.0),
+    steps=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.95, 1.0, 1.05, 2.0, 10.0]), max_size=40),
+)
+def test_clusters_are_bounded_and_open_beyond_tol(tol, base, steps):
+    # relative steps in units of tol (of 1e-6 at tol 0) around its boundary
+    vals = base * np.cumprod([1.0, *(1.0 + (tol or 1e-6) * np.array(steps))])
+    clusters = cluster_values(vals, tol)
+    ends = np.cumsum([0, *(m for _, m in clusters)])
+    assert ends[-1] == vals.size
+    for i, j in zip(ends, ends[1:]):
+        assert vals[j - 1] - vals[i] <= tol * vals[j - 1]
+    firsts = vals[ends[:-1]]
+    assert np.all(firsts[1:] - firsts[:-1] > tol * firsts[1:])
+
+
+def _integer_symmetric_corpus():
+    """120 seeded integer symmetric matrices of order 1..6, 30 of each kind:
+    random entries in [-3, 3] with the diagonal raised by 0..2n-1 (PD or not),
+    C C.T for an n x n C (PD unless C is singular), C C.T for an n x r C with
+    r < n (singular PSD, the zero matrix at r = 0) and random entries in
+    [-3, 3] (mostly indefinite)."""
+    rng = np.random.default_rng(12)
+    mats = []
+    for kind in range(4):
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            if kind in (1, 2):
+                C = rng.integers(-2, 3, size=(n, n if kind == 1 else int(rng.integers(0, n))))
+                A = C @ C.T
+            else:
+                A = rng.integers(-3, 4, size=(n, n))
+                A = np.triu(A) + np.triu(A, 1).T
+                if kind == 0:
+                    A += np.diag(rng.integers(0, 2 * n, n))
+            mats.append((kind, A.astype(float)))
+    return mats
+
+
+def test_positive_definiteness_matches_the_exact_leading_principal_minors():
+    # Sylvester's criterion in exact integer arithmetic on the 120 matrices:
+    # 32 are PD, 38 singular and 50 indefinite and nonsingular
+    import sympy
+
+    tally = {True: 0, False: 0}
+    for kind, A in _integer_symmetric_corpus():
+        M = sympy.Matrix(A.astype(np.int64).tolist())
+        exact = all(M[:k, :k].det() > 0 for k in range(1, A.shape[0] + 1))
+        assert sp.is_positive_definite(A) is exact
+        assert not (kind == 2 and exact)
+        tally[exact] += 1
+    assert tally[True] >= 30 and tally[False] >= 60, tally
+
+
+def test_spectrum_matches_50_digit_eigenvalues_of_omega_n():
+    # 40 seeded integer PD matrices at p = 1..4 (edges +-1, +-2 at density 0.5,
+    # each diagonal entry the row's absolute sum plus 1 or 2); the d are the
+    # positive imaginary parts of the eigenvalues of Omega N from mpmath at 50
+    # digits; the worst relative error seen was 1.2e-15
+    import mpmath
+
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for _ in range(40):
+        p = int(rng.integers(1, 5))
+        n = 2 * p
+        E = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        E = np.triu(E, 1) + np.triu(E, 1).T
+        N = E + np.diag(np.abs(E).sum(axis=1) + rng.integers(1, 3, n))
+        with mpmath.workdps(50):
+            ev = mpmath.eig(mpmath.matrix((sp.omega(p) @ N).tolist()), left=False, right=False)
+            exact = sorted(mpmath.im(v) for v in ev if mpmath.im(v) > 0)
+            assert len(exact) == p
+            got = sp.symplectic_spectrum(N).values
+            worst = max(worst, max(float(abs(g - d) / d) for g, d in zip(got, exact)))
+    assert worst <= 1e-10, worst

@@ -67,6 +67,16 @@ def test_load_matrix_errors(tmp_path):
         load_matrix(str(tmp_path / "missing.json"))
 
 
+def test_load_matrix_symmetrizes_within_the_symmetric_block_rule(tmp_path):
+    # an asymmetry within 1e-10 max(1, max |N|) is rounding, and the symmetric part is read
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"order": 2, "entries": [[2.0, 5.0], [5.0 + 4e-10, 3.0]]}))
+    assert np.array_equal(load_matrix(str(path)), [[2.0, 5.0 + 2e-10], [5.0 + 2e-10, 3.0]])
+    path.write_text(json.dumps({"order": 2, "entries": [[2.0, 5.0], [5.0 + 6e-10, 3.0]]}))
+    with pytest.raises(ParseError, match="block must be symmetric"):
+        load_matrix(str(path))
+
+
 def test_graph_round_trip(tmp_path):
     G = sp.triangular_path(8).graph
     coupling = sp.split_coupling(8)
@@ -223,6 +233,9 @@ _REJECTED_FILES = {
     "order_only.json": '{"order": 2}',
     "truncated.mtx": "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n",
     "wide.mtx": "%%MatrixMarket matrix array real general\n2 3\n" + "1\n" * 6,
+    # [[2, 5], [-5, 3]], whose symmetric part diag(2, 3) was once read in its place
+    "skew.json": '{"order": 2, "entries": [[2, 5], [-5, 3]]}',
+    "skew.mtx": "%%MatrixMarket matrix array real general\n2 2\n2\n-5\n5\n3\n",
     "garbage.json": "{",
     "no_order.json": '{"edges": [[1, 2]]}',
     "loop.json": '{"order": 2, "edges": [[1, 1]]}',
@@ -241,6 +254,9 @@ _REJECTED_FILES = {
     (["spectrum", "order_only.json"], 2, "expected fields 'order' and 'entries'"),
     (["spectrum", "truncated.mtx"], 2, "bad Matrix Market file"),
     (["spectrum", "wide.mtx"], 2, "expected a square matrix"),
+    # each once exited 0: spectrum reported sqrt 6 and sssp true
+    *[([cmd, name], 2, "block must be symmetric")
+      for cmd in ("spectrum", "sssp") for name in ("skew.json", "skew.mtx")],
     (["zc", "garbage.json"], 2, "bad graph file"),
     (["zc", "no_order.json"], 2, "expected fields 'order' and 'edges'"),
     (["zc", "loop.json"], 2, "loops are not allowed"),

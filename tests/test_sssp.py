@@ -277,6 +277,16 @@ def test_direction_rejects_r_of_another_order():
     assert not isinstance(exc.value, np.linalg.LinAlgError)
 
 
+def test_direction_verdict_proves_n_positive_definite_once(monkeypatch):
+    # the tangency check reads the N the oracle gate has proven, where it once
+    # went through the public in_tangent_space and a second PD proof
+    R = sp.tangent_element(N_SPLIT, M_LIB)
+    proofs = _count_calls(monkeypatch, core, "_certified_pd")
+    assert sp.has_sssp_in_direction(N_SPLIT, R)
+    assert not sp.has_sssp_in_direction(N_SPLIT, np.zeros((6, 6)))
+    assert len(proofs) == 2
+
+
 def _lstsq_in_tangent_space(N, R):
     # the tangent test before the Williamson basis: least squares over every tangent row
     b = sp.vec_triangle(R)
@@ -619,6 +629,23 @@ def test_continuation_jacobian_without_pairs_is_the_simple_gradient(monkeypatch)
     seen.clear()
     sp.continuation_realize(G, [0.5, 1.0, 1.0009, 3.5], rng=np.random.default_rng(10))
     assert seen and all(list(k) == [1] and list(l) == [2] for _, _, _, k, l in seen)
+
+
+def test_continuation_pair_rows_are_the_pairs_in_one_target_cluster(monkeypatch):
+    # t, t (1 + 0.6e-3) and t (1 + 1.2e-3): both neighbouring gaps lie within
+    # the pair gap 1e-3, but the cluster opened at t cannot take the third value,
+    # so only (0, 1) gets pair rows, where a pairwise rule also paired (1, 2);
+    # the clusters of 2 and 1 give 2^2 + 1^2 rows
+    spectral_rows = sssp._spectral_rows
+    seen = _count_calls(monkeypatch, sssp, "_spectral_rows")
+    G = sp.triangular_path(6).graph
+    target = [0.8, 0.8 * (1 + 0.6e-3), 0.8 * (1 + 1.2e-3)]
+    N = sp.continuation_realize(G, target, rng=np.random.default_rng(3))
+    assert seen
+    for S, rows, cols, k, l in seen:
+        assert list(k) == [0] and list(l) == [1]
+        assert spectral_rows(S, rows, cols, k, l).shape[0] == 5
+    _assert_realizes(N, G, target)
 
 
 def test_continuation_converges_in_a_few_gauss_newton_steps(monkeypatch):
