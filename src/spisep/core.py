@@ -243,27 +243,29 @@ class SymplecticSpectrum:
         return np.asarray(self.values)
 
 
-def _cluster_ends(vals: np.ndarray, tol: float) -> list[int]:
-    """The one rule for equal values: the boundaries 0 = e_0 < ... < e_c = n of
-    the clusters of n ascending values, none for n = 0.  A cluster opens at its
-    smallest value s and takes each next v while v - s <= tol max(v, 1e-300), so
-    none is wider than tol times its largest value; at tol = 0 only ties group."""
+def _cluster_starts(vals: np.ndarray, tol: float) -> np.ndarray:
+    """The one rule for equal values: for each of the ascending vals, the index
+    of the first value of its cluster.  A cluster opens at its smallest value s
+    and takes each next v while v - s <= tol max(v, 1e-300), so none is wider
+    than tol times its largest value; at tol = 0 only exact ties group."""
     vs = vals.tolist()
-    ends = [0]
+    starts, s = [], 0
     for i, v in enumerate(vs):
-        if v - vs[ends[-1]] > tol * max(v, 1e-300):
-            ends.append(i)
-    return [*ends, len(vs)] if vs else []
+        if v - vs[s] > tol * max(v, 1e-300):
+            s = i
+        starts.append(s)
+    return np.array(starts, dtype=np.intp)
 
 
 def cluster_values(values, cluster_tol: float) -> tuple[tuple[float, int], ...]:
     """Group positive values into ascending (mean, multiplicity) clusters by
-    :func:`_cluster_ends`; a negative or non-finite cluster_tol raises ValueError."""
+    :func:`_cluster_starts`; a negative or non-finite cluster_tol raises ValueError."""
     _check_tol("cluster_tol", cluster_tol)
     vals = np.sort(np.asarray(values, dtype=float))
-    ends = _cluster_ends(vals, cluster_tol)
+    starts = np.unique(_cluster_starts(vals, cluster_tol)).tolist()
+    ends = [*starts[1:], vals.size]
     # a slice sum over its length is np.mean bit for bit, without its overhead
-    return tuple((float(vals[i:j].sum()) / (j - i), j - i) for i, j in zip(ends, ends[1:]))
+    return tuple((float(vals[i:j].sum()) / (j - i), j - i) for i, j in zip(starts, ends))
 
 
 def symplectic_spectrum(N, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SymplecticSpectrum:

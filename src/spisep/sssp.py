@@ -23,7 +23,7 @@ from .core import (
     NotPositiveDefiniteError,
     _check_targets,
     _cholesky_proves,
-    _cluster_ends,
+    _cluster_starts,
     _min_norm_solve,
     _nonzero,
     _require_pd,
@@ -412,10 +412,9 @@ def _is_tangent(N: np.ndarray, R: np.ndarray) -> bool:
     p = d.size
     X = S.T @ R @ S
     C = X[:p, p:]
-    off = np.maximum(np.abs(X[:p, :p] + X[p:, p:]), np.abs(C - C.T))
-    ends = _cluster_ends(d, DEFAULT_CLUSTER_TOL)
-    gap = max(float(np.max(off[i:j, i:j])) for i, j in zip(ends, ends[1:]))
-    return gap <= 1e-8 * max(1.0, float(np.max(np.abs(X))))
+    start = _cluster_starts(d, DEFAULT_CLUSTER_TOL)
+    gap = np.maximum(np.abs(X[:p, :p] + X[p:, p:]), np.abs(C - C.T))[start[:, None] == start]
+    return float(np.max(gap)) <= 1e-8 * max(1.0, float(np.max(np.abs(X))))
 
 
 def has_sssp_in_direction(
@@ -529,10 +528,9 @@ def continuation_realize(
 
     free = [(i, i) for i in range(1, G.order + 1)] + sorted(G.edges)
     rows, cols = (np.array(ix) - 1 for ix in zip(*free))
-    ends = _cluster_ends(target, _PAIR_GAP)
-    first = np.repeat(ends[:-1], np.diff(ends))  # the first index of each target's cluster
+    start = _cluster_starts(target, _PAIR_GAP)
     k, l = np.triu_indices(p, 1)
-    near = first[k] == first[l]
+    near = start[k] == start[l]
     k, l = k[near], l[near]
     pair_zeros = np.zeros(2 * k.size)
 
