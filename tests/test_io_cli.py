@@ -254,14 +254,14 @@ _REJECTED_FILES = {
     (["spectrum", "order_only.json"], 2, "expected fields 'order' and 'entries'"),
     (["spectrum", "truncated.mtx"], 2, "bad Matrix Market file"),
     (["spectrum", "wide.mtx"], 2, "expected a square matrix"),
-    # each once exited 0: spectrum reported sqrt 6 and sssp true
-    *[([cmd, name], 2, "block must be symmetric")
-      for cmd in ("spectrum", "sssp") for name in ("skew.json", "skew.mtx")],
     (["zc", "garbage.json"], 2, "bad graph file"),
     (["zc", "no_order.json"], 2, "expected fields 'order' and 'edges'"),
     (["zc", "loop.json"], 2, "loops are not allowed"),
     (["zc", "repeated.json"], 2, "coupling: vertex 1 is paired with itself"),
     (["zc", "uncovered.json"], 2, "coupling does not cover 1..6"),
+    # each once exited 0: spectrum reported sqrt 6 and sssp true
+    *[([cmd, name], 2, "block must be symmetric")
+      for cmd in ("spectrum", "sssp") for name in ("skew.json", "skew.mtx")],
 ])
 def test_cli_rejects_bad_inputs(argv, code, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
