@@ -70,7 +70,13 @@ class LabeledGraph:
         return min(self.degree(v) for v in range(1, self.order + 1))
 
     def with_edges(self, extra) -> "LabeledGraph":
-        return LabeledGraph(self.order, self.edges.union(map(_norm_edge, extra)))
+        # this graph's own edges were checked when it was made, so only the
+        # added ones are, as a graph of their own
+        added = LabeledGraph(self.order, frozenset(map(_norm_edge, extra)) - self.edges).edges
+        union = object.__new__(LabeledGraph)
+        object.__setattr__(union, "order", self.order)
+        object.__setattr__(union, "edges", self.edges | added)
+        return union
 
     def adjacency(self) -> np.ndarray:
         A = np.zeros((self.order, self.order))

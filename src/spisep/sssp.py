@@ -456,6 +456,10 @@ def direction_graph(G: LabeledGraph, R) -> LabeledGraph:
 _EDGE_SCALE = 1e-2
 _MAX_ATTEMPTS = 8
 _MAX_STEPS = 100
+# an attempt whose |f| has not halved over this many steps has stalled: on the
+# repeated-target corpus such attempts crawled on to _MAX_STEPS and failed, at
+# up to 34 Williamson solves a step
+_STALL_STEPS = 20
 _MIN_STEP = 1e-10
 _SPECTRUM_TOL = 1e-6
 # targets in one cluster at this tolerance get pair rows: without them the loop
@@ -505,9 +509,10 @@ def continuation_realize(
     decreases |f|; one Williamson form per trial point gives both f and J.
     The clusters are :func:`core.cluster_values`'s at a tolerance of 1e-3, so
     a cluster of m targets has m^2 rows and repeated targets converge too.
-    An attempt ends when it meets the spectrum, after 100 steps, when its
-    line search halves the step below 1e-10, or when J loses row rank, where
-    the factorization fails and no unique minimum-norm step exists.
+    An attempt ends when it meets the spectrum, after 100 steps, when |f|
+    has not halved over the last 20 steps, when its line search halves the
+    step below 1e-10, or when J loses row rank, where the factorization fails
+    and no unique minimum-norm step exists.
 
     Returns a positive definite matrix with labeled graph exactly G and
     spectrum within 1e-6 of the target; raises ArithmeticError if no attempt
@@ -515,7 +520,8 @@ def continuation_realize(
     is not positive definite.  An attempt whose start lies outside the
     positive definite cone counts as failed, and so does one that meets the
     spectrum but fails the PD check or loses an edge; the ArithmeticError
-    counts both kinds and the attempts that ended where J lost row rank.
+    counts both kinds, the attempts that stalled and those that ended where J
+    lost row rank.
     """
     if G.order % 2 != 0:
         raise ValueError("pattern must have even order")
@@ -557,7 +563,7 @@ def continuation_realize(
             raise ValueError("seed matrix must match the pattern order")
         seed_x = _require_pd(seed_matrix)[rows, cols]
     last_err = np.inf
-    runs = steps = solves = rejected = singular = 0
+    runs = steps = solves = rejected = stalled = singular = 0
     for attempt in range(_MAX_ATTEMPTS):
         if seed_matrix is not None:
             jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
@@ -570,15 +576,20 @@ def continuation_realize(
             continue
         runs += 1
         f, S = point
+        norms = []
         for _ in range(_MAX_STEPS):
             if np.max(np.abs(f)) <= 8 * _EPS * G.order * target[-1]:
                 break
+            norms.append(np.linalg.norm(f))
+            if len(norms) > _STALL_STEPS and norms[-1] > norms[-1 - _STALL_STEPS] / 2:
+                stalled += 1
+                break
             s = _min_norm_solve(_spectral_rows(S, rows, cols, k, l), -f)
             steps += 1
-            norm, alpha = np.linalg.norm(f), 1.0
+            alpha = 1.0
             while s is not None and alpha >= _MIN_STEP:
                 point = solve(x + alpha * s)
-                if point is not None and np.linalg.norm(point[0]) <= (1 - 1e-4 * alpha) * norm:
+                if point is not None and np.linalg.norm(point[0]) <= (1 - 1e-4 * alpha) * norms[-1]:
                     break
                 alpha /= 2
             else:
@@ -597,6 +608,6 @@ def continuation_realize(
         f"continuation did not converge on this pattern (best residual {last_err:.3e}"
         f" after {_MAX_ATTEMPTS} attempts, {_MAX_ATTEMPTS - runs} of them starting outside"
         f" the PD cone, {rejected} meeting the spectrum but failing the PD check or"
-        f" losing an edge and {singular} ending where the Jacobian lost row rank;"
-        f" Gauss-Newton took {steps} steps and {solves} Williamson solves)"
+        f" losing an edge, {stalled} stalling and {singular} ending where the Jacobian lost"
+        f" row rank; Gauss-Newton took {steps} steps and {solves} Williamson solves)"
     )

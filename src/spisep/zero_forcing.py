@@ -4,12 +4,14 @@ The color change processes run on bitmask adjacency internally; minimum
 forcing sets are found by the Wavefront search of Butler et al. (Sage
 Minimum Rank Library), a cheapest-first search over closed blue sets,
 adapted here to the self-forcing rule of the loop and coupled processes,
-and bounded by the cheapest full forcing set it has found so far.
-Vertices that no rule can ever force (isolated vertices, for the loop and
-standard rules) are pinned into every forcing set instead of being searched
-over.  The search is exact; its cost and memory grow with the closed sets
-it stores, so it raises ValueError beyond 2**20 of them.  They are distinct
-vertex subsets, so no graph of order 20 or less reaches that budget.
+and bounded by the cheapest full forcing set it has found so far.  No force
+crosses a component of the graph, so each component is searched alone with
+every other vertex blue, and the sizes add up; an isolated vertex, which no
+rule can force, is a component of cost 1.  Within one component's search
+each closure is computed once.  The search is exact; its cost and memory
+grow with the closed sets it stores, so it raises ValueError when one
+component's search stores more than 2**20 of them.  They are distinct
+vertex subsets, so no component of order 20 or less reaches that budget.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .graphs import (
 _CLOSED_SET_BUDGET = 2**20
 
 
-def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[list[int], int, int, int]:
-    """``(masks, n, self_ok, pinned)`` of a forcing rule on G, as bitmasks.
+def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[list[int], int, int]:
+    """``(masks, n, self_ok)`` of a forcing rule on G, as bitmasks.
 
     The relevant set of v is N(v); the coupled rule is the loop rule on the
     coupling closure graph.  A vertex with an empty relevant set can never
-    be forced, so it is pinned; every other vertex may force itself when
-    ``self_forcing`` holds (the loop and coupled rules).
+    be forced; every other vertex may force itself when ``self_forcing``
+    holds (the loop and coupled rules).
     """
     n = G.order
     masks = [0] * n
@@ -43,7 +45,7 @@ def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[list[int], int
         masks[i - 1] |= 1 << (j - 1)
         masks[j - 1] |= 1 << (i - 1)
     live = sum(1 << v for v in range(n) if masks[v])
-    return masks, n, live if self_forcing else 0, ((1 << n) - 1) ^ live
+    return masks, n, live if self_forcing else 0
 
 
 def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
@@ -88,10 +90,30 @@ def _to_mask(vertices) -> int:
     return m
 
 
-def _min_forcing_set(
-    masks: list[int], n: int, self_ok: int, pinned: int
-) -> tuple[int, int]:
-    """Minimum forcing set by the Wavefront search over closed blue sets.
+def _components(masks: list[int], n: int) -> list[int]:
+    """Vertex masks of the components of the graph, by bitmask flood fill."""
+    comps, left = [], (1 << n) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:
+            v = todo.bit_length() - 1
+            new = masks[v] & ~comp
+            comp |= new
+            todo ^= 1 << v | new
+        comps.append(comp)
+        left ^= comp
+    return comps
+
+
+def _min_forcing_set(masks: list[int], n: int, self_ok: int) -> tuple[int, int]:
+    """``(size, blue mask)`` of a minimum forcing set: each component's, added up."""
+    found = [_min_component_set(masks, n, self_ok, comp) for comp in _components(masks, n)]
+    return sum(k for k, _ in found), sum(bought for _, bought in found)
+
+
+def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tuple[int, int]:
+    """Minimum forcing set of one component by the Wavefront search over
+    closed blue sets, with every vertex outside ``comp`` blue.
 
     From a closed set S, the step at vertex v buys every white vertex of
     ``T_v = {v} | R(v)`` but one, and that one is forced for free: by v if v
@@ -107,23 +129,26 @@ def _min_forcing_set(
     only when it closes to the full set.  This changes no output: the loop
     returns at a cost of at most ``top``, so it never expands a set stored
     at ``top`` or above, and only a full set at ``top`` can still win the
-    tie-break.  Returns ``(size, blue mask)``; the mask includes ``pinned``.
+    tie-break.  Distinct steps often reach the same ``S | T_v``; its closure
+    is kept in a memo of at most ``_CLOSED_SET_BUDGET`` entries.  Returns
+    ``(size, bought mask)``, the mask inside ``comp``.
     """
     full = (1 << n) - 1
-    start = _closure(masks, n, pinned, self_ok)
-    base_k = pinned.bit_count()
-    best = {start: (0, pinned)}
-    buckets: list[set[int]] = [set() for _ in range(n + 1)]
+    verts = [v for v in range(n) if comp >> v & 1]
+    start = _closure(masks, n, full ^ comp, self_ok)
+    best = {start: (0, 0)}
+    memo: dict[int, int] = {}
+    buckets: list[set[int]] = [set() for _ in range(len(verts) + 1)]
     buckets[0].add(start)
-    for cost in range(n + 1):
+    for cost in range(len(verts) + 1):
         top = best.get(full, (n + 1,))[0]
         if top == cost:
-            return base_k + cost, best[full][1]
+            return cost, best[full][1]
         for S in buckets[cost]:
             if best[S][0] != cost:
                 continue
             witness = best[S][1]
-            for v in range(n):
+            for v in verts:
                 bit = 1 << v
                 add = (masks[v] | bit) & ~S
                 if not add:
@@ -136,7 +161,12 @@ def _min_forcing_set(
                 step = cost + bought.bit_count()
                 if step > top:
                     continue
-                T = _closure(masks, n, S | add, self_ok)
+                U = S | add
+                T = memo.get(U)
+                if T is None:
+                    T = _closure(masks, n, U, self_ok)
+                    if len(memo) < _CLOSED_SET_BUDGET:
+                        memo[U] = T
                 entry = (step, witness | bought)
                 if (step < top or T == full) and entry < best.get(T, (n + 1, 0)):
                     best[T] = entry
@@ -144,13 +174,14 @@ def _min_forcing_set(
                     if T == full:
                         top = step
                     if len(best) > _CLOSED_SET_BUDGET:
-                        raise ValueError(f"the forcing search stored {len(best)} closed "
-                                         f"sets, over its budget of {_CLOSED_SET_BUDGET}")
-    return n, full  # unreachable: B = V always forces
+                        raise ValueError(f"the forcing search stored {len(best)} closed sets "
+                                         f"of one component, over its budget of "
+                                         f"{_CLOSED_SET_BUDGET}")
+    return len(verts), comp  # unreachable: B = V always forces
 
 
 def _close(rule, blue) -> frozenset[int]:
-    masks, n, self_ok, _ = rule
+    masks, n, self_ok = rule
     return _to_set(_closure(masks, n, _to_mask(blue), self_ok))
 
 

@@ -106,6 +106,19 @@ def test_coupling_closure_graph():
     )
 
 
+def test_with_edges_checks_the_added_edges():
+    G = sp.path_graph(5)
+    H = G.with_edges([(4, 1), (2, 3), (5, 3)])
+    assert H == sp.LabeledGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 4), (3, 5)])
+    assert hash(H) == hash(sp.LabeledGraph(5, H.edges)) and H.neighbors(3) == {2, 4, 5}
+    assert G.with_edges([]) == G and G.size == 4
+    for extra, match in [([(2, 6)], r"edge \(2, 6\) out of range 1..5"),
+                         ([(0, 1)], r"edge \(0, 1\) out of range"),
+                         ([(3, 3)], "loops are not allowed")]:
+        with pytest.raises(ValueError, match=match):
+            G.with_edges(extra)
+
+
 def test_coupling_validation():
     with pytest.raises(ValueError, match="cover each vertex exactly once"):
         sp.Coupling.from_pairs([(1, 2), (2, 3)])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -443,6 +444,20 @@ def test_cli_zc_above_order_20(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(zf, "_CLOSED_SET_BUDGET", 1)
     assert main(["zc", str(gpath), "--json"]) == 3
     assert "budget of 1" in capsys.readouterr().err
+
+
+def test_cli_zc_on_a_disconnected_pattern(tmp_path, capsys):
+    # the empty graph with the split coupling is 20 components of one pair each
+    gpath = tmp_path / "g.json"
+    save_graph(str(gpath), sp.empty_graph(40), sp.split_coupling(40))
+    start = time.perf_counter()
+    assert main(["zc", str(gpath), "--json"]) == 0
+    assert time.perf_counter() - start < 0.5
+    report = json.loads(capsys.readouterr().out)
+    assert report["zc"] == len(report["minimum_set"]) == 20
+    # one vertex of each pair {i, i + 20}
+    assert sorted((v - 1) % 20 for v in report["minimum_set"]) == list(range(20))
+    assert report["zc_equals_one_structural"] is False
 
 
 def test_cli_audit_sparsity(tmp_path, capsys):

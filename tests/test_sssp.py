@@ -1,3 +1,5 @@
+import itertools
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -691,6 +693,42 @@ def test_continuation_ends_an_attempt_where_the_jacobian_loses_row_rank(monkeypa
         sp.continuation_realize(sp.triangular_path(8).graph, [0.5, 1.0, 2.0, 3.5],
                                 rng=np.random.default_rng(10))
     assert len(solves) == 8
+
+
+def test_continuation_ends_an_attempt_whose_residual_has_stalled(monkeypatch):
+    # tools/continuation_corpus.py's case at seed 3040, density 0.2, a triple:
+    # each attempt crawled on to its 100 steps, at 9931 Williamson solves in all
+    rng = np.random.default_rng(3040)
+    pairs = list(itertools.combinations(range(1, 9), 2))
+    G = sp.LabeledGraph.from_edges(8, [pairs[i] for i in sorted(rng.choice(28, 6, replace=False))])
+    target = np.sort(rng.uniform(0.5, 3.0, 4))
+    target[:3] = target[0]
+    solves, attempts = [], []
+    williamson_columns, min_norm_solve = sssp._williamson_columns, sssp._min_norm_solve
+
+    def solve(N):
+        if np.array_equal(np.diag(N), np.tile(target, 2)):  # an attempt's start
+            attempts.append([])
+        solves.append(N)
+        return williamson_columns(N)
+
+    def step(J, f):
+        attempts[-1].append(float(np.linalg.norm(f)))
+        return min_norm_solve(J, f)
+
+    monkeypatch.setattr(sssp, "_williamson_columns", solve)
+    monkeypatch.setattr(sssp, "_min_norm_solve", step)
+    with pytest.raises(ArithmeticError, match="8 stalling and 0 ending where") as err:
+        sp.continuation_realize(G, target, rng=np.random.default_rng(3040))
+    assert len(attempts) == 8
+    for norms in attempts:
+        # |f| at each step had halved over the 20 steps before it, and the
+        # attempt ended when it had not, long before its 100 steps
+        assert 20 <= len(norms) < 100
+        assert all(later <= earlier / 2 for earlier, later in zip(norms, norms[20:]))
+    took = re.search(r"took (\d+) steps and (\d+) Williamson solves\)$", str(err.value))
+    assert took and [int(k) for k in took.groups()] == [sum(map(len, attempts)), len(solves)]
+    assert len(solves) < 9931 / 3
 
 
 def test_continuation_raises_arithmetic_error_where_the_schur_form_stalls():

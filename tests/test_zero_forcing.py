@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import networkx as nx
 import numpy as np
@@ -28,8 +29,7 @@ def _brute_force_number(masks, n, self_ok):
 
 
 def _assert_search_is_exact(masks, n, self_ok, number):
-    isolated = sum(1 << v for v in range(n) if not masks[v])
-    k, witness = zf._min_forcing_set(masks, n, self_ok, isolated)
+    k, witness = zf._min_forcing_set(masks, n, self_ok)
     assert k == number == _brute_force_number(masks, n, self_ok)
     assert witness.bit_count() == k
     assert zf._closure(masks, n, witness, self_ok) == (1 << n) - 1
@@ -77,10 +77,12 @@ def test_search_matches_brute_force_on_random_graphs():
         _assert_all_rules_exact(G, couplings)
 
 
-def _min_forcing_set_reference(masks, n, self_ok, pinned):
-    # the Wavefront search without the bound by the cheapest full set: every
-    # step's closure is computed and every improved closed set is stored
+def _min_forcing_set_reference(masks, n, self_ok):
+    # the Wavefront search of the whole graph without the bound by the
+    # cheapest full set: every step's closure is computed and every improved
+    # closed set is stored; vertices with an empty relevant set are pinned
     full = (1 << n) - 1
+    pinned = sum(1 << v for v in range(n) if not masks[v])
     start = zf._closure(masks, n, pinned, self_ok)
     best = {start: (0, pinned)}
     buckets = [set() for _ in range(n + 1)]
@@ -110,15 +112,29 @@ def _min_forcing_set_reference(masks, n, self_ok, pinned):
                     buckets[step].add(T)
 
 
+def _components_with_an_edge(masks, n):
+    return nx.number_connected_components(
+        nx.Graph((u, v) for u in range(n) for v in range(n) if masks[u] >> v & 1))
+
+
 def _assert_rules_match_reference(G, couplings=()):
     rules = [zf._rule(G, self_forcing=False), zf._rule(G)]
     rules += [zf._rule(G.with_edges(c.pairs)) for c in couplings]
-    for rule in rules:
-        assert zf._min_forcing_set(*rule) == _min_forcing_set_reference(*rule)
+    for masks, n, self_ok in rules:
+        found = zf._min_forcing_set(masks, n, self_ok)
+        want = _min_forcing_set_reference(masks, n, self_ok)
+        if _components_with_an_edge(masks, n) <= 1:
+            assert found == want
+        else:
+            # each component runs its own tie-break, so only the size is fixed
+            assert found[0] == want[0] == found[1].bit_count()
+            assert zf._closure(masks, n, found[1], self_ok) == (1 << n) - 1
 
 
 def test_search_matches_the_unbounded_reference():
-    # the same (size, mask), tie-break included, for all three rules
+    # the same (size, mask), tie-break included, for all three rules, where at
+    # most one component has an edge (isolated vertices cost 1 each, as the
+    # reference's pinned vertices do); the same size elsewhere
     couplings = sp.enumerate_couplings(6)
     atlas6 = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 6]
     assert len(atlas6) == 156 and len(couplings) == 15
@@ -149,6 +165,80 @@ def test_search_skips_steps_above_the_cheapest_full_set(monkeypatch):
     bounded, calls[0] = calls[0], 0
     assert found == _min_forcing_set_reference(*rule)
     assert 2 * bounded <= calls[0]
+
+
+def test_search_computes_each_closure_once(monkeypatch):
+    # distinct steps reach the same S | T_v; the search closes each union once
+    inputs = []
+    closure = zf._closure
+
+    def spy(masks, n, blue, self_ok):
+        inputs.append(blue)
+        return closure(masks, n, blue, self_ok)
+
+    monkeypatch.setattr(zf, "_closure", spy)
+    for seed, density in [(11, 0.3), (12, 0.6), (13, 0.15)]:
+        G = _random_graph(np.random.default_rng(seed), 20, density)
+        inputs.clear()
+        zf._min_forcing_set(*zf._rule(G.with_edges(sp.split_coupling(20).pairs)))
+        assert inputs and len(set(inputs)) == len(inputs)
+
+
+def _direct_sum(first: sp.CoupledGraph, second: sp.CoupledGraph, rng) -> sp.CoupledGraph:
+    # the disjoint union, with the vertex names of the two parts interleaved
+    a, b = first.graph.order, second.graph.order
+    names = [int(v) for v in rng.permutation(a + b) + 1]
+    one, two = names[:a], names[a:]
+    edges = [(one[i - 1], one[j - 1]) for i, j in first.graph.edges]
+    edges += [(two[i - 1], two[j - 1]) for i, j in second.graph.edges]
+    pairs = [(one[i - 1], one[j - 1]) for i, j in first.coupling.pairs]
+    pairs += [(two[i - 1], two[j - 1]) for i, j in second.coupling.pairs]
+    return sp.CoupledGraph(sp.LabeledGraph.from_edges(a + b, edges), sp.Coupling.from_pairs(pairs))
+
+
+def _connected_coupled_graph(rng, n):
+    while True:
+        G = _random_graph(rng, n, rng.uniform(0.1, 0.5))
+        order = [int(v) for v in rng.permutation(n) + 1]
+        CG = sp.CoupledGraph(G, sp.Coupling.from_pairs(zip(order[::2], order[1::2])))
+        # every vertex lies on a coupling edge, so the graph has all n vertices
+        if nx.is_connected(nx.Graph(list(sp.coupling_closure_graph(CG).edges))):
+            return CG
+
+
+def test_search_matches_brute_force_on_disconnected_graphs():
+    # all three rules on direct sums, with the couplings of the two parts (a
+    # disconnected closure graph) and a seeded coupling across them
+    rng = np.random.default_rng(14)
+    for _ in range(60):
+        a, b = (2 * int(k) for k in rng.integers(1, 4, size=2))
+        CG = _direct_sum(_connected_coupled_graph(rng, a), _connected_coupled_graph(rng, b), rng)
+        if rng.uniform() < 0.5:  # an isolated vertex, for the loop and standard rules
+            G = sp.LabeledGraph.from_edges(a + b, [e for e in CG.graph.edges if 1 not in e])
+            CG = sp.CoupledGraph(G, CG.coupling)
+        order = [int(v) for v in rng.permutation(a + b) + 1]
+        _assert_all_rules_exact(
+            CG.graph, [CG.coupling, sp.Coupling.from_pairs(zip(order[::2], order[1::2]))])
+
+
+def test_zc_of_a_direct_sum_is_the_sum():
+    rng = np.random.default_rng(15)
+    parts = [sp.path_with_matching(8), sp.cycle_with_matching(10), sp.corona(sp.complete_graph(5)),
+             sp.triangular_path(12), sp.complete_bipartite_matching(4)]
+    parts += [_connected_coupled_graph(rng, n) for n in (10, 14, 16, 18)]
+    for first, second in itertools.combinations(parts, 2):
+        CG = _direct_sum(first, second, rng)
+        witness = sp.zc_minimum_set(CG)
+        assert len(witness) == sp.zc_number(first) + sp.zc_number(second)
+        assert sp.coupled_closure(CG, witness) == frozenset(range(1, CG.graph.order + 1))
+
+
+def test_msp_upper_bound_of_a_large_identity():
+    # the empty pattern of order 2p has p components, each of zc 1
+    start = time.perf_counter()
+    rep = sp.msp_upper_bound(np.eye(100))
+    assert time.perf_counter() - start < 1.0
+    assert rep.zc == rep.max_multiplicity == 50 and rep.holds
 
 
 def test_order_20_dense_split_coupling():
@@ -440,12 +530,15 @@ def test_exhaustive_guard():
 
 
 def test_closed_set_budget(monkeypatch):
-    # the split coupling of the empty graph on 10 vertices meets 32 closed sets
-    CG = sp.CoupledGraph(sp.empty_graph(10), sp.split_coupling(10))
-    assert sp.zc_number(CG) == 5
+    # the budget bounds one component's closed sets: the split coupling of the
+    # empty graph on 10 vertices is 5 pairs of 2 closed sets each, while the
+    # corona of K5, one component, stores 27
     monkeypatch.setattr(zf, "_CLOSED_SET_BUDGET", 16)
-    with pytest.raises(ValueError, match="budget of 16"):
-        sp.zc_number(CG)
+    assert sp.zc_number(sp.CoupledGraph(sp.empty_graph(10), sp.split_coupling(10))) == 5
+    with pytest.raises(ValueError, match="closed sets of one component, over its budget of 16"):
+        sp.zc_number(sp.corona(sp.complete_graph(5)))
+    monkeypatch.setattr(zf, "_CLOSED_SET_BUDGET", 27)
+    assert sp.zc_number(sp.corona(sp.complete_graph(5))) == 4
 
 
 @pytest.mark.parametrize("CG,zc", [
