@@ -25,6 +25,12 @@ def _norm_edge(e) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def _check_edges(order: int, edges) -> None:
+    for i, j in edges:
+        if not (1 <= i < j <= order):
+            raise ValueError(f"edge ({i}, {j}) out of range 1..{order}")
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Simple undirected graph with vertex set {1, ..., order}."""
@@ -35,9 +41,7 @@ class LabeledGraph:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("graph order must be positive")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.order):
-                raise ValueError(f"edge ({i}, {j}) out of range 1..{self.order}")
+        _check_edges(self.order, self.edges)
 
     @classmethod
     def from_edges(cls, order: int, edges=()) -> "LabeledGraph":
@@ -71,8 +75,9 @@ class LabeledGraph:
 
     def with_edges(self, extra) -> "LabeledGraph":
         # this graph's own edges were checked when it was made, so only the
-        # added ones are, as a graph of their own
-        added = LabeledGraph(self.order, frozenset(map(_norm_edge, extra)) - self.edges).edges
+        # added ones are checked here
+        added = frozenset(map(_norm_edge, extra)) - self.edges
+        _check_edges(self.order, added)
         union = object.__new__(LabeledGraph)
         object.__setattr__(union, "order", self.order)
         object.__setattr__(union, "edges", self.edges | added)

@@ -107,8 +107,11 @@ def _components(masks: list[int], n: int) -> list[int]:
 
 def _min_forcing_set(masks: list[int], n: int, self_ok: int) -> tuple[int, int]:
     """``(size, blue mask)`` of a minimum forcing set: each component's, added up."""
-    found = [_min_component_set(masks, n, self_ok, comp) for comp in _components(masks, n)]
-    return sum(k for k, _ in found), sum(bought for _, bought in found)
+    size = witness = 0
+    for comp in _components(masks, n):
+        k, bought = _min_component_set(masks, n, self_ok, comp)
+        size, witness = size + k, witness | bought
+    return size, witness
 
 
 def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tuple[int, int]:
