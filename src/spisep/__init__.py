@@ -4,7 +4,12 @@ Symplectic spectra and Williamson normal forms of positive definite
 matrices, constructions realizing prescribed spectra on a given zero
 pattern, the strong symplectic spectral property with its verification
 matrices, couplings of labeled graphs, and coupled zero forcing.
+
+The library logs through the stdlib logger ``spisep``, which is silent
+until the application configures logging.
 """
+
+import logging
 
 from .core import (
     NotPositiveDefiniteError,
@@ -109,3 +114,5 @@ from .catalogue import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

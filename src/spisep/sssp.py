@@ -11,11 +11,12 @@ always agree; keeping both is the central cross-check of this library.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csc_array, csr_array, issparse
 
 from .core import (
     _EPS,
@@ -38,18 +39,24 @@ from .graphs import LabeledGraph, graph_of_matrix
 
 DEFAULT_RANK_TOL = 1e-9
 
-# From this Gram order min(m, k) on, the oracles' row matrices are built as CSR
-# arrays and the lower triangles of their Gram matrices by sparse products of
-# row blocks (see _gram).  On 30%-density patterns the rows are 2-6% nonzero.
-# In `tools/gram_crossover.py` (seeds 0 and 1, two runs each, one BLAS thread)
-# both oracles ran faster dense up to m = 448 and sparse from m = 631; in between
-# the nullspace oracle ran faster sparse and the rank oracle up to 7% slower.
-# From m = 340 on, the sparse path's traced peak is 0.5-0.7 of the dense
-# path's: 14.5-15.6 against 28.8-29.5 MiB at m = 1230-1251.
-_SPARSE_GRAM_ORDER = 470
+_log = logging.getLogger(__name__)
 
-# The Gram rows one sparse product of _gram forms; 256 gave the same peak RSS
-# on sssp-ladder within 0.4 MB.
+# From this Gram order min(m, k) on, the oracles' row matrices are built as
+# sparse arrays and the lower triangles of their Gram matrices accumulated from
+# the rows' nonzero products (see _gram).  On 30%-density patterns the rows are
+# 2-6% nonzero.  In `tools/gram_crossover.py` (seeds 0 and 1, two runs each,
+# one BLAS thread) both oracles ran faster sparse at every m from 404 on, by
+# 0.5-27% at m = 404-448 and about half at m = 1230-1251; the rank oracle ran
+# faster dense at m = 340-347 in all four runs and at m = 380 in one of two.
+# From m = 267 on, the sparse path's traced peak is 0.5-0.8 of the dense
+# path's: 13.9-14.3 against 28.8-29.5 MiB at m = 1230-1251.
+_SPARSE_GRAM_ORDER = 400
+
+# The summed indices whose products one np.add.at of _gram adds.  In
+# test_certificate_holds_little_more_than_its_gram_matrix (Gram order 1255) the
+# certificate's traced peak was 1.13 (rank) and 1.13 (nullspace) times the Gram
+# matrix's bytes, 1.25 and 1.24 at 256 and 1.36 and 1.35 at 384, above the test's
+# 1.35; 256 ran at most 0.25 ms faster on sssp-ladder's p = 20..30.
 _GRAM_BLOCK = 128
 
 
@@ -180,18 +187,21 @@ def _column_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, coefs, elems
 
 
-def _assemble(shape: tuple[int, int], first: tuple, second: tuple) -> np.ndarray | csr_array:
+def _assemble(
+    shape: tuple[int, int], first: tuple, second: tuple
+) -> np.ndarray | csc_array | csr_array:
     """The matrix of two scatters, each (rows, columns, values) with index arrays
     that broadcast to the shape of the values: first's values are written, then
     second's added.  No position repeats within one scatter.
 
     Below a Gram order ``min(shape)`` of ``_SPARSE_GRAM_ORDER`` the result is a
-    dense array, whose Gram matrix is one dense product.  From there it is a
-    CSR array of the nonzero values only, whose Gram matrix :func:`_gram` forms
-    by row blocks, only the triangle that dpotrf reads.  A position both
-    scatters hit sums the same two values either way, so ``.toarray()``
-    equals the dense array, except that a -0.0 of the dense array comes back
-    as +0.0.
+    dense array, whose Gram matrix is one dense product.  From there it holds
+    the nonzero values only, compressed along the summed index of its Gram
+    matrix, as :func:`_gram` reads it: a CSC array when it is wide (the rank
+    oracle's rows), a CSR array when it is tall (the commutation rows).  A
+    position both scatters hit sums the same two values either way, so
+    ``.toarray()`` equals the dense array, except that a -0.0 of the dense
+    array comes back as +0.0.
     """
     if min(shape) < _SPARSE_GRAM_ORDER:
         out = np.zeros(shape)
@@ -203,16 +213,17 @@ def _assemble(shape: tuple[int, int], first: tuple, second: tuple) -> np.ndarray
         for x in range(3)
     )
     keep = v != 0.0  # the structural zeros of N make most of the values exact zeros
-    return csr_array((v[keep], (r[keep], c[keep])), shape=shape)
+    compressed = csc_array if shape[0] <= shape[1] else csr_array
+    return compressed((v[keep], (r[keep], c[keep])), shape=shape)
 
 
-def _dense(A: np.ndarray | csr_array) -> np.ndarray:
+def _dense(A: np.ndarray | csc_array | csr_array) -> np.ndarray:
     return A.toarray() if issparse(A) else A
 
 
-def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | csr_array:
+def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | csc_array:
     """Rows at positions (a[t], b[t]) (0-based) of the verification matrix of N,
-    dense or CSR as :func:`_assemble` chooses.
+    dense or CSC as :func:`_assemble` chooses.
 
     Column k is M_k.T N + N M_k for the k-th element of :func:`sp_basis`.  An
     entry (r, c, v) of M_k adds v N[r, x] at position {c, x} for every x (twice
@@ -235,31 +246,45 @@ def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, n
     return i[keep], j[keep]
 
 
-def _gram(A: np.ndarray | csr_array) -> np.ndarray:
+def _gram(A: np.ndarray | csc_array | csr_array) -> np.ndarray:
     """The n x n Gram matrix of A, n = min(A.shape), C-ordered: A A^T or A^T A.
 
-    A dense A gives the whole product.  A CSR A gives only the lower triangle
-    and the upper parts of the diagonal blocks: with R the CSR rows of A, or
-    of A^T when m > k, one row per Gram index, each block of ``_GRAM_BLOCK``
-    rows is G[s:e, :e] = R[s:e] R[:e]^T.  So at most one block of the product
-    is held sparse at a time, and the pages of G right of the blocks are never
-    written.  SciPy's sparse product runs Gustavson's row-by-row algorithm,
-    which sums entry (i, j) over the columns rows i and j share, in ascending
-    order, so each entry equals the full product's bit for bit.
+    A dense A gives the whole product.  A sparse A gives only the lower
+    triangle, the strict upper triangle staying zero: with R the columns of A
+    (CSC) when m <= k, else its rows (CSR), each compressed slice of R is one
+    summed index r, and its products v_i v_j with i >= j are added into
+    G[i, j] by one sequential ``np.add.at`` per ``_GRAM_BLOCK`` summed
+    indices.  So each entry sums its products in ascending r, the first onto
+    an exact zero, whatever the format of A and the chunking.  That order makes
+    the triangle bit-identical to SciPy's full sparse product A A^T or A^T A,
+    whose Gustavson algorithm happens to sum in the same order.  The pair
+    enumeration needs sorted indices without duplicates, so a non-canonical A
+    is summed into a canonical copy first.
     """
     m, k = A.shape
     if not issparse(A):
         return A @ A.T if m <= k else A.T @ A
-    R = A if m <= k else A.T.tocsr()
-    n = R.shape[0]
+    R = A.tocsc() if m <= k else A.tocsr()
+    if not R.has_canonical_format:
+        R = R.copy()  # the caller's A is left as it was
+        R.sum_duplicates()
+    n = min(m, k)
     G = np.zeros((n, n))
-    for s in range(0, n, _GRAM_BLOCK):
-        e = min(s + _GRAM_BLOCK, n)
-        G[s:e, :e] = (R[s:e] @ R[:e].T).toarray()
+    for s in range(0, max(m, k), _GRAM_BLOCK):
+        ptr = R.indptr[s : s + _GRAM_BLOCK + 1]
+        lo, hi = ptr[0], ptr[-1]
+        # nonzero q, at Gram index i, pairs with the nonzeros of its summed index
+        # from the first one up to q itself, whose Gram indices are the j <= i
+        first = np.repeat(ptr[:-1], np.diff(ptr))
+        count = np.arange(lo, hi) - first + 1
+        start = first - np.cumsum(count) + count  # first minus the pairs before q's
+        partner = np.arange(count.sum()) + np.repeat(start, count)
+        flat = np.repeat(R.indices[lo:hi] * np.intp(n), count) + R.indices[partner]
+        np.add.at(G.reshape(-1), flat, np.repeat(R.data[lo:hi], count) * R.data[partner])
     return G
 
 
-def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
+def _certified_full_rank(A: np.ndarray | csc_array | csr_array, rank_tol: float) -> bool:
     """A proof, from one Cholesky factorization, that sigma_min(A) > rank_tol * sigma_1(A).
 
     With A of shape (m, k), n = min(m, k), l = max(m, k), u = eps / 2 and
@@ -271,12 +296,13 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     ||fl(G) - G||_2 <= gamma_l || |A| |A|^T ||_2 <= gamma_l ||A||_F^2, since
     each entry is a dot product of length l (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., section 3.5).  That bound holds in any
-    summation order, so it covers the sparse product of a CSR A too: each entry
-    sums at most l nonzero products, in some order, and the exact zeros it
-    skips would add no rounding.  Of a CSR A, :func:`_gram` forms only the lower
-    triangle, which is all that dpotrf and the trace read; the symmetric matrix
-    they see is that triangle mirrored, whose every entry meets the same
-    entrywise bound |fl(G) - G| <= gamma_l |A| |A|^T, so the norm bound holds.
+    summation order, so it covers a sparse A too: :func:`_gram` sums each
+    entry's at most l nonzero products in ascending order of the summed index,
+    and the exact zeros it skips would add no rounding.  Of a sparse A,
+    :func:`_gram` forms only the lower triangle, which is all that dpotrf and
+    the trace read; the symmetric matrix they see is that triangle mirrored,
+    whose every entry meets the same entrywise bound
+    |fl(G) - G| <= gamma_l |A| |A|^T, so the norm bound holds.
 
     Together, lambda_min(A A^T or A^T A) >= tau - (m + k + 3) u f (1 + O(u))
     > rank_tol^2 f >= rank_tol^2 sigma_1^2, the 4 (m + k) eps margin covering
@@ -292,14 +318,21 @@ def _certified_full_rank(A: np.ndarray | csr_array, rank_tol: float) -> bool:
     return _cholesky_proves(_gram(A).T, rank_tol * rank_tol + 4 * (m + k) * _EPS)
 
 
-def _rank_deficiency(A: np.ndarray | csr_array, rank_tol: float) -> np.ndarray | None:
+def _rank_deficiency(A: np.ndarray | csc_array | csr_array, rank_tol: float) -> np.ndarray | None:
     """None when every singular value of A exceeds ``rank_tol`` times the largest,
     else the last right singular vector of A.
 
     A None is proven by :func:`_certified_full_rank` where it can be; only where
     that proof fails does one thin SVD decide, so every vector comes from the SVD.
+    Each call logs one DEBUG record of the Gram order, the path and the proof.
     """
-    if _certified_full_rank(A, rank_tol):
+    proved = _certified_full_rank(A, rank_tol)
+    _log.debug(
+        "rank decision: Gram order %d, %s rows, Cholesky certificate %s",
+        min(A.shape), "sparse" if issparse(A) else "dense",
+        "proved full rank" if proved else "failed, SVD decides",
+    )
+    if proved:
         return None
     _, s, Vt = np.linalg.svd(_dense(A), full_matrices=False)
     return None if s[0] > 0.0 and s[-1] > rank_tol * s[0] else Vt[-1]

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import re
 import subprocess
 import sys
@@ -1079,11 +1080,57 @@ def test_blocked_gram_triangle_equals_the_full_sparse_product_bit_for_bit(n, wid
     full = (A @ A.T if wide else A.T @ A).toarray()
     G = sssp._gram(A)
     assert G.shape == (n, n) and G.flags.c_contiguous
-    # row i is written up to the end of its block: the lower triangle and the upper
-    # parts of the diagonal blocks, and nothing to their right
-    i, j = np.indices((n, n))
-    written = j < np.minimum((i // GRAM_BLOCK + 1) * GRAM_BLOCK, n)
-    assert G.tobytes() == np.where(written, full, 0.0).tobytes()
+    # only the lower triangle is written, and nothing above the diagonal
+    assert G.tobytes() == np.tril(full).tobytes()
+
+
+@pytest.mark.parametrize("summed", [GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1])
+@pytest.mark.parametrize("wide", [True, False])
+@pytest.mark.parametrize("fmt", [scipy.sparse.csr_array, scipy.sparse.csc_array])
+def test_gram_triangle_is_exact_in_either_format_and_orientation(summed, wide, fmt):
+    rng = np.random.default_rng(summed)
+    n = 40
+    D = rng.standard_normal((n, summed)) * (rng.uniform(size=(n, summed)) < 0.3)
+    # Gram index 7 holds no entries, and summed indices 5 and the last hold none:
+    # with GRAM_BLOCK + 1 summed indices the last chunk is that one empty index
+    D[7, :] = 0.0
+    D[:, [5, -1]] = 0.0
+    A = fmt(D if wide else D.T)
+    full = (A @ A.T if wide else A.T @ A).toarray()
+    G = sssp._gram(A)
+    assert G.shape == (n, n) and G.flags.c_contiguous
+    assert G.tobytes() == np.tril(full).tobytes()
+
+
+def _compressed(fmt, shape, slices):
+    # a CSR or CSC array stored exactly as the given (index, value) slices of its
+    # compressed axis, duplicates, unsorted indices and explicit zeros included
+    indptr = np.cumsum([0] + [len(x) for x in slices])
+    indices = [i for x in slices for i, _ in x]
+    data = [v for x in slices for _, v in x]
+    return fmt((np.array(data), np.array(indices), indptr), shape=shape)
+
+
+@pytest.mark.parametrize("wide", [True, False])
+@pytest.mark.parametrize("fmt", [scipy.sparse.csr_array, scipy.sparse.csc_array])
+def test_gram_of_a_non_canonical_array_sums_its_duplicates(fmt, wide):
+    # a slice holding (0, 1.0) and (0, 2.0) adds (1 + 2)^2 = 9 to Gram entry (0, 0)
+    # when it is a summed index, where pairing the stored entries would add 7
+    four = [[(2, 4.0), (0, 1.0), (0, 2.0)], [(1, 3.0), (2, 0.0)], [], [(0, -1.5), (1, 2.5), (0, 0.5)]]
+    three = [[(3, 1.0), (0, 2.0), (3, 1.0)], [(1, 0.0), (2, 3.0)], [(3, -2.0), (0, 0.5), (3, 0.5)]]
+    shape = (3, 4) if wide else (4, 3)
+    # the compressed axis is the summed one (four slices) or the Gram one (three)
+    summed_axis = (fmt is scipy.sparse.csc_array) == wide
+    A = _compressed(fmt, shape, four if summed_axis else three)
+    assert not A.has_canonical_format
+    stored = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+    full = (A @ A.T if wide else A.T @ A).toarray()
+    D = A.toarray()
+    G = sssp._gram(A)
+    assert G.tobytes() == np.tril(full).tobytes()
+    # the values are dyadic, so the dense product is exact
+    assert np.array_equal(G, np.tril(D @ D.T if wide else D.T @ D))
+    assert all(np.array_equal(x, y) for x, y in zip(stored, (A.data, A.indices, A.indptr)))
 
 
 def test_certificate_holds_little_more_than_its_gram_matrix():
@@ -1245,7 +1292,10 @@ def test_sparse_builders_hold_the_nonzeros_of_the_dense_rows(monkeypatch):
             A = build(N, a, b)
             monkeypatch.setattr(sssp, "_SPARSE_GRAM_ORDER", 0)
             S = build(N, a, b)
-            assert isinstance(A, np.ndarray) and isinstance(S, scipy.sparse.csr_array)
+            # compressed along the summed index of the Gram matrix, as _gram reads it
+            wide = build is sssp._tangent_rows
+            assert isinstance(A, np.ndarray) and (A.shape[0] <= A.shape[1]) is wide
+            assert isinstance(S, scipy.sparse.csc_array if wide else scipy.sparse.csr_array)
             assert S.nnz == np.count_nonzero(A) and S.has_canonical_format
             # bit for bit, once + 0.0 turns the dense rows' -0.0 (a coefficient -1
             # times a structural zero of N) into the +0.0 of a CSR array's absent entry
@@ -1265,3 +1315,33 @@ def test_sparse_and_dense_gram_paths_give_identical_verdicts_and_witnesses(monke
     dense = outputs(10**9)
     assert outputs(0) == dense
     assert sum(not rank for rank, *_ in dense) >= 6
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("oracle", [sp.has_sssp_rank, sp.has_sssp_nullspace])
+def test_each_oracle_call_logs_one_rank_decision(caplog, monkeypatch, oracle, sparse):
+    if sparse:
+        monkeypatch.setattr(sssp, "_SPARSE_GRAM_ORDER", 0)
+    caplog.set_level(logging.DEBUG, logger="spisep")
+    shear = sp.shear_square(sp.path_shear_block(3))
+    for N, proof in ((N_CYCLE, "proved full rank"), (shear, "failed, SVD decides")):
+        caplog.clear()
+        oracle(N)
+        (record,) = caplog.records
+        assert record.name == "spisep.sssp" and record.levelno == logging.DEBUG
+        order = sssp._nonedge_pairs(N, None)[0].size
+        rows = "sparse" if sparse else "dense"
+        assert record.getMessage() == (
+            f"rank decision: Gram order {order}, {rows} rows, Cholesky certificate {proof}"
+        )
+
+
+def test_the_spisep_logger_is_silent_by_default():
+    # without a handler of its own, a warning would reach logging's last-resort stderr handler
+    code = (
+        "import logging, spisep as sp\n"
+        "sp.has_sssp_nullspace(sp.shear_square(sp.path_shear_block(3)))\n"
+        "logging.getLogger('spisep.sssp').warning('unseen')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == proc.stderr == ""
