@@ -867,8 +867,8 @@ def _reference_full(N):
 
 
 def _sweep_cases():
-    """One 30%-density PD matrix at each of p = 10, 20, 30; from p = 16 on the
-    full matrix's triangle rows take the CSR path of the gather."""
+    """One 30%-density PD matrix at each of p = 10, 20, 30; from p = 14 on the
+    full matrix's triangle rows take the sparse (CSC) path of the gather."""
     rng = np.random.default_rng(0)
     cases = []
     for p in (10, 20, 30):
@@ -1116,7 +1116,8 @@ def _compressed(fmt, shape, slices):
 def test_gram_of_a_non_canonical_array_sums_its_duplicates(fmt, wide):
     # a slice holding (0, 1.0) and (0, 2.0) adds (1 + 2)^2 = 9 to Gram entry (0, 0)
     # when it is a summed index, where pairing the stored entries would add 7
-    four = [[(2, 4.0), (0, 1.0), (0, 2.0)], [(1, 3.0), (2, 0.0)], [], [(0, -1.5), (1, 2.5), (0, 0.5)]]
+    four = [[(2, 4.0), (0, 1.0), (0, 2.0)], [(1, 3.0), (2, 0.0)], [],
+            [(0, -1.5), (1, 2.5), (0, 0.5)]]
     three = [[(3, 1.0), (0, 2.0), (3, 1.0)], [(1, 0.0), (2, 3.0)], [(3, -2.0), (0, 0.5), (3, 0.5)]]
     shape = (3, 4) if wide else (4, 3)
     # the compressed axis is the summed one (four slices) or the Gram one (three)
@@ -1279,7 +1280,7 @@ def test_oracles_match_the_exact_rank_of_the_integer_reduced_matrix():
 
 def _sparse_gram_cases():
     """The benchmark-scale cases plus the failing shear squares p = 7, 8 (with no
-    direction), so both oracles' SVD fallback and witness run on CSR input."""
+    direction), so both oracles' SVD fallback and witness run on sparse input."""
     shears = [(sp.shear_square(sp.path_shear_block(p)), None) for p in (7, 8)]
     return _benchmark_scale_cases() + shears
 
@@ -1298,7 +1299,7 @@ def test_sparse_builders_hold_the_nonzeros_of_the_dense_rows(monkeypatch):
             assert isinstance(S, scipy.sparse.csc_array if wide else scipy.sparse.csr_array)
             assert S.nnz == np.count_nonzero(A) and S.has_canonical_format
             # bit for bit, once + 0.0 turns the dense rows' -0.0 (a coefficient -1
-            # times a structural zero of N) into the +0.0 of a CSR array's absent entry
+            # times a structural zero of N) into the +0.0 of a sparse array's absent entry
             assert S.toarray().tobytes() == (A + 0.0).tobytes()
 
 

@@ -5,7 +5,7 @@
 For each p one 30%-density positive definite matrix of order 2p is drawn,
 and has_sssp_rank and has_sssp_nullspace are timed (median of ``--reps``
 calls, in ms) with ``sssp._SPARSE_GRAM_ORDER`` set above the Gram order,
-so the row matrix is dense, and to 0, so it is a CSR array.  The two
+so the row matrix is dense, and to 0, so it is a sparse array.  The two
 settings take turns, so a change in host speed reaches both columns.  Next
 to each time is the call's peak of memory traced by ``tracemalloc`` (MiB),
 from one further call, since tracing slows the calls it traces.  The Gram
