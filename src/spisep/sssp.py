@@ -154,7 +154,7 @@ def verification_matrix(N) -> VerificationMatrix:
     2p^2 - p - |E| rows at the non-adjacent pairs (i < j) of the labeled graph of N.
     """
     N = as_symmetric(N, even=True)
-    full = _dense(_tangent_rows(N, *_triangle(N.shape[0])))
+    full = _tangent_rows(N, *_triangle(N.shape[0]), dense=True)
     a, b = _nonedge_pairs(N, None)
     return VerificationMatrix(
         full=full,
@@ -188,22 +188,22 @@ def _column_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _assemble(
-    shape: tuple[int, int], first: tuple, second: tuple
+    shape: tuple[int, int], first: tuple, second: tuple, dense: bool = False
 ) -> np.ndarray | csc_array | csr_array:
     """The matrix of two scatters, each (rows, columns, values) with index arrays
     that broadcast to the shape of the values: first's values are written, then
     second's added.  No position repeats within one scatter.
 
-    Below a Gram order ``min(shape)`` of ``_SPARSE_GRAM_ORDER`` the result is a
-    dense array, whose Gram matrix is one dense product.  From there it holds
-    the nonzero values only, compressed along the summed index of its Gram
-    matrix, as :func:`_gram` reads it: a CSC array when it is wide (the rank
-    oracle's rows), a CSR array when it is tall (the commutation rows).  A
-    position both scatters hit sums the same two values either way, so
-    ``.toarray()`` equals the dense array, except that a -0.0 of the dense
-    array comes back as +0.0.
+    With ``dense``, or below a Gram order ``min(shape)`` of
+    ``_SPARSE_GRAM_ORDER``, the result is a C-ordered dense array, whose Gram
+    matrix is one dense product.  Otherwise it holds the nonzero values only,
+    compressed along the summed index of its Gram matrix, as :func:`_gram`
+    reads it: a CSC array when it is wide (the rank oracle's rows), a CSR
+    array when it is tall (the commutation rows).  A position both scatters
+    hit sums the same two values either way, so ``.toarray()`` equals the
+    dense array, except that a -0.0 of the dense array comes back as +0.0.
     """
-    if min(shape) < _SPARSE_GRAM_ORDER:
+    if dense or min(shape) < _SPARSE_GRAM_ORDER:
         out = np.zeros(shape)
         out[first[0], first[1]] = first[2]
         out[second[0], second[1]] += second[2]
@@ -221,9 +221,11 @@ def _dense(A: np.ndarray | csc_array | csr_array) -> np.ndarray:
     return A.toarray() if issparse(A) else A
 
 
-def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | csc_array:
+def _tangent_rows(
+    N: np.ndarray, a: np.ndarray, b: np.ndarray, dense: bool = False
+) -> np.ndarray | csc_array:
     """Rows at positions (a[t], b[t]) (0-based) of the verification matrix of N,
-    dense or CSC as :func:`_assemble` chooses.
+    dense or CSC as :func:`_assemble` chooses; always dense with ``dense``.
 
     Column k is M_k.T N + N M_k for the k-th element of :func:`sp_basis`.  An
     entry (r, c, v) of M_k adds v N[r, x] at position {c, x} for every x (twice
@@ -236,6 +238,7 @@ def _tangent_rows(N: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray | c
         (a.size, 2 * p * p + p),
         (t, elems[a], coefs[a] * N[rows[a], b[:, None]]),
         (t, elems[b], coefs[b] * N[rows[b], a[:, None]]),
+        dense,
     )
 
 

@@ -16,6 +16,7 @@ vertex subsets, so no component of order 20 or less reaches that budget.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from .core import symplectic_spectrum
@@ -29,6 +30,8 @@ from .graphs import (
 )
 
 _CLOSED_SET_BUDGET = 2**20
+
+_log = logging.getLogger(__name__)
 
 
 def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[list[int], int, int]:
@@ -53,7 +56,10 @@ def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
 
     Rule 1: a blue v forces the unique white vertex of its relevant set.
     Rule 2: a white v with fully blue relevant set forces itself, where
-    allowed by ``self_ok``.
+    allowed by ``self_ok``.  A forced vertex whose relevant set has one white
+    vertex left forces it at once, so a forcing chain is followed to its end
+    in one pass whatever the vertex order; the fixed point does not depend
+    on the order of forces.
     """
     full = (1 << n) - 1
     changed = True
@@ -63,8 +69,9 @@ def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
             bit = 1 << v
             white = masks[v] & ~blue
             if blue & bit:
-                if white and white & (white - 1) == 0:
+                while white and not white & (white - 1):
                     blue |= white
+                    white = masks[white.bit_length() - 1] & ~blue
                     changed = True
             elif white == 0 and self_ok & bit:
                 blue |= bit
@@ -127,14 +134,19 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
     buckets) reaches the full set first at the minimum size; each closed set
     keeps the smallest ``(cost, bought mask)`` that reaches it, with the
     highest white vertex of ``T_v`` taken as the free one.  The search is
-    bounded by ``top``, the cost of the cheapest full set stored so far: a
-    step above it is skipped before its closure, and a step at it is stored
-    only when it closes to the full set.  This changes no output: the loop
-    returns at a cost of at most ``top``, so it never expands a set stored
-    at ``top`` or above, and only a full set at ``top`` can still win the
-    tie-break.  Distinct steps often reach the same ``S | T_v``; its closure
-    is kept in a memo of at most ``_CLOSED_SET_BUDGET`` entries.  Returns
-    ``(size, bought mask)``, the mask inside ``comp``.
+    bounded by ``(top, top_mask)``, the cost and bought mask of the cheapest
+    full set stored so far: a step above ``top`` is skipped before its
+    closure, and so is a step at ``top`` whose mask is not below
+    ``top_mask``; any other step at ``top`` is stored only when it closes to
+    the full set.  This changes no output: the loop returns at a cost of at
+    most ``top``, so it never expands a set stored at ``top`` or above, and
+    only a full set at ``top`` that wins the tie-break against ``top_mask``
+    could still be stored.  Distinct steps often reach the same
+    ``S | T_v``; its closure is kept in a memo of at most
+    ``_CLOSED_SET_BUDGET`` entries.  Each search logs one DEBUG record of the
+    component's order, the size found, the closed sets stored and the
+    closures computed.  Returns ``(size, bought mask)``, the mask inside
+    ``comp``.
     """
     full = (1 << n) - 1
     verts = [v for v in range(n) if comp >> v & 1]
@@ -143,10 +155,12 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
     memo: dict[int, int] = {}
     buckets: list[set[int]] = [set() for _ in range(len(verts) + 1)]
     buckets[0].add(start)
+    top, top_mask = best.get(full, (n + 1, 0))
     for cost in range(len(verts) + 1):
-        top = best.get(full, (n + 1,))[0]
         if top == cost:
-            return cost, best[full][1]
+            _log.debug("forcing search: component of order %d, size %d, %d closed sets "
+                       "stored, %d closures computed", len(verts), top, len(best), len(memo))
+            return top, top_mask
         for S in buckets[cost]:
             if best[S][0] != cost:
                 continue
@@ -162,7 +176,7 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
                     free = 1 << (rest.bit_length() - 1) if rest else 0
                 bought = add ^ free
                 step = cost + bought.bit_count()
-                if step > top:
+                if step > top or step == top and witness | bought >= top_mask:
                     continue
                 U = S | add
                 T = memo.get(U)
@@ -175,7 +189,7 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
                     best[T] = entry
                     buckets[step].add(T)
                     if T == full:
-                        top = step
+                        top, top_mask = entry
                     if len(best) > _CLOSED_SET_BUDGET:
                         raise ValueError(f"the forcing search stored {len(best)} closed sets "
                                          f"of one component, over its budget of "

@@ -895,6 +895,24 @@ def test_direct_rows_equal_reference_reduced_rows():
         np.testing.assert_array_equal(sssp._dense(sssp._tangent_rows(N, i, j)), ref)
 
 
+def test_verification_matrix_assembles_dense_rows_from_the_sparse_gram_order():
+    # from p = 14 the Gram-order rule builds the triangle rows sparse; the
+    # verification matrix asks for them dense and gets the same values
+    for p in (14, 20):
+        rng = np.random.default_rng(p)
+        n = 2 * p
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.uniform() < 0.3]
+        N = sp.random_pd_with_graph(sp.LabeledGraph.from_edges(n, edges), rng)
+        sparse = sssp._tangent_rows(N, *sssp._triangle(n))
+        assert scipy.sparse.issparse(sparse)
+        a, b = sssp._nonedge_pairs(N, None)
+        vm = sp.verification_matrix(N)
+        assert vm.full.flags.c_contiguous
+        assert np.array_equal(vm.full, sparse.toarray())
+        assert np.array_equal(vm.reduced, sparse.toarray()[b * (b + 1) // 2 + a])
+
+
 def test_triangle_commutation_system_keeps_singular_values():
     for N in _oracle_cases():
         a, b = sssp._nonedge_pairs(N, core.pattern_tol(N))

@@ -1,4 +1,7 @@
 import itertools
+import logging
+import subprocess
+import sys
 import time
 
 import networkx as nx
@@ -184,6 +187,68 @@ def test_search_computes_each_closure_once(monkeypatch):
         assert inputs and len(set(inputs)) == len(inputs)
 
 
+def test_search_matches_the_reference_on_forcing_ladder_shapes():
+    # split-coupled graphs of the forcing-ladder's orders and densities, plus
+    # the standard and loop rules of their graphs
+    rng = np.random.default_rng(16)
+    for n in (16, 18, 20):
+        for density in (0.3, 0.6):
+            _assert_rules_match_reference(_random_graph(rng, n, density), [sp.split_coupling(n)])
+
+
+def test_search_matches_the_reference_under_all_three_rules():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 17))
+        G = _random_graph(rng, n, rng.uniform(0.05, 0.7))
+        order = [int(v) for v in rng.permutation(n) + 1]
+        couplings = [sp.Coupling.from_pairs(zip(order[::2], order[1::2]))] if n % 2 == 0 else []
+        _assert_rules_match_reference(G, couplings)
+
+
+def test_search_skips_steps_that_lose_the_tie_break_at_the_cheapest_full_cost(monkeypatch):
+    # a step at the cost of the stored full set whose mask is not below the
+    # stored one is skipped before its closure; the counts with only the steps
+    # above that cost skipped were 118, 57 and 297
+    calls = [0]
+    closure = zf._closure
+
+    def counted(*args):
+        calls[0] += 1
+        return closure(*args)
+
+    monkeypatch.setattr(zf, "_closure", counted)
+    for (seed, density), before in zip([(11, 0.3), (12, 0.6), (13, 0.15)], [118, 57, 297]):
+        rule = zf._rule(_random_graph(np.random.default_rng(seed), 20, density)
+                        .with_edges(sp.split_coupling(20).pairs))
+        calls[0] = 0
+        found = zf._min_forcing_set(*rule)
+        assert calls[0] <= 0.7 * before, (seed, calls[0])
+        assert found == _min_forcing_set_reference(*rule)
+
+
+def test_each_component_search_logs_one_record(caplog):
+    rng = np.random.default_rng(18)
+    CG = _direct_sum(_connected_coupled_graph(rng, 8), _connected_coupled_graph(rng, 6), rng)
+    caplog.set_level(logging.DEBUG, logger="spisep")
+    size = sp.zc_number(CG)
+    records = caplog.records
+    assert [(r.name, r.levelno) for r in records] == [("spisep.zero_forcing", logging.DEBUG)] * 2
+    assert sorted(r.args[0] for r in records) == [6, 8]
+    assert sum(r.args[1] for r in records) == size
+    for r in records:
+        order, _, stored, computed = r.args
+        assert 1 <= stored <= 2**order and 1 <= computed
+        assert r.getMessage() == (f"forcing search: component of order {order}, size {r.args[1]}, "
+                                  f"{stored} closed sets stored, {computed} closures computed")
+
+
+def test_forcing_search_prints_nothing_by_default():
+    code = "import spisep as sp\nsp.zc_number(sp.corona(sp.complete_graph(4)))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == proc.stderr == ""
+
+
 def _direct_sum(first: sp.CoupledGraph, second: sp.CoupledGraph, rng) -> sp.CoupledGraph:
     # the disjoint union, with the vertex names of the two parts interleaved
     a, b = first.graph.order, second.graph.order
@@ -273,6 +338,15 @@ def test_path_endpoint_forces_everything():
     assert sp.coupled_closure(CG, {1}) == frozenset(range(1, 7))
     assert sp.zc_number(CG) == 1
     assert sp.zc_minimum_set(CG) == frozenset({1})
+
+
+def test_closure_follows_a_forcing_chain_in_one_pass():
+    # the last vertex of a path forces the rest along one chain; a pass over
+    # the vertices per force would take about n^2 vertex visits
+    G = sp.path_graph(1000)
+    start = time.perf_counter()
+    assert sp.standard_closure(G, {1000}) == frozenset(range(1, 1001))
+    assert time.perf_counter() - start < 0.05
 
 
 def test_closure_of_full_and_empty_sets():
