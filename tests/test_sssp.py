@@ -1360,6 +1360,7 @@ def test_the_spisep_logger_is_silent_by_default():
     code = (
         "import logging, spisep as sp\n"
         "sp.has_sssp_nullspace(sp.shear_square(sp.path_shear_block(3)))\n"
+        "sp.zc_number(sp.corona(sp.complete_graph(4)))\n"
         "logging.getLogger('spisep.sssp').warning('unseen')\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

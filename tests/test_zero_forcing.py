@@ -1,7 +1,5 @@
 import itertools
 import logging
-import subprocess
-import sys
 import time
 
 import networkx as nx
@@ -241,12 +239,6 @@ def test_each_component_search_logs_one_record(caplog):
         assert 1 <= stored <= 2**order and 1 <= computed
         assert r.getMessage() == (f"forcing search: component of order {order}, size {r.args[1]}, "
                                   f"{stored} closed sets stored, {computed} closures computed")
-
-
-def test_forcing_search_prints_nothing_by_default():
-    code = "import spisep as sp\nsp.zc_number(sp.corona(sp.complete_graph(4)))\n"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout == proc.stderr == ""
 
 
 def _direct_sum(first: sp.CoupledGraph, second: sp.CoupledGraph, rng) -> sp.CoupledGraph:
