@@ -208,13 +208,16 @@ def _assemble(
         out[first[0], first[1]] = first[2]
         out[second[0], second[1]] += second[2]
         return out
-    r, c, v = (
-        np.concatenate([np.broadcast_to(s[x], s[2].shape).ravel() for s in (first, second)])
-        for x in range(3)
-    )
-    keep = v != 0.0  # the structural zeros of N make most of the values exact zeros
+    # the structural zeros of N make most of the values exact zeros; each
+    # scatter drops its own before the two are joined
+    kept = []
+    for rows, cols, values in (first, second):
+        keep = values != 0.0
+        kept.append((np.broadcast_to(rows, keep.shape)[keep],
+                     np.broadcast_to(cols, keep.shape)[keep], values[keep]))
+    r, c, v = (np.concatenate(x) for x in zip(*kept))
     compressed = csc_array if shape[0] <= shape[1] else csr_array
-    return compressed((v[keep], (r[keep], c[keep])), shape=shape)
+    return compressed((v, (r, c)), shape=shape)
 
 
 def _dense(A: np.ndarray | csc_array | csr_array) -> np.ndarray:

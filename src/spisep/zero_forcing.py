@@ -59,24 +59,27 @@ def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
     allowed by ``self_ok``.  A forced vertex whose relevant set has one white
     vertex left forces it at once, so a forcing chain is followed to its end
     in one pass whatever the vertex order; the fixed point does not depend
-    on the order of forces.
+    on the order of forces.  The passes keep the white set, not the blue one,
+    so a relevant set's white part is one ``&`` and a force clears one bit.
     """
     full = (1 << n) - 1
+    white = full ^ blue
     changed = True
-    while changed and blue != full:
+    while changed and white:
         changed = False
-        for v in range(n):
-            bit = 1 << v
-            white = masks[v] & ~blue
-            if blue & bit:
-                while white and not white & (white - 1):
-                    blue |= white
-                    white = masks[white.bit_length() - 1] & ~blue
+        bit = 1
+        for m in masks:
+            left = m & white
+            if not white & bit:
+                while left and not left & (left - 1):
+                    white ^= left
+                    left = masks[left.bit_length() - 1] & white
                     changed = True
-            elif white == 0 and self_ok & bit:
-                blue |= bit
+            elif not left and self_ok & bit:
+                white ^= bit
                 changed = True
-    return blue
+            bit <<= 1
+    return full ^ white
 
 
 def _to_set(mask: int) -> frozenset[int]:
@@ -141,10 +144,14 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
     the full set.  This changes no output: the loop returns at a cost of at
     most ``top``, so it never expands a set stored at ``top`` or above, and
     only a full set at ``top`` that wins the tie-break against ``top_mask``
-    could still be stored.  Distinct steps often reach the same
-    ``S | T_v``; its closure is kept in a memo of at most
-    ``_CLOSED_SET_BUDGET`` entries.  Each search logs one DEBUG record of the
-    component's order, the size found, the closed sets stored and the
+    could still be stored.  A step buys every white vertex of ``T_v`` but at
+    most one, so one with more than ``top - cost + 1`` white vertices costs
+    more than ``top``; it is skipped as soon as its white vertices are known,
+    before its free and bought vertices are formed.  The ``top`` test would
+    skip it too, so this bound changes nothing but the work.  Distinct steps
+    often reach the same ``S | T_v``; its closure is kept in a memo of at
+    most ``_CLOSED_SET_BUDGET`` entries.  Each search logs one DEBUG record
+    of the component's order, the size found, the closed sets stored and the
     closures computed.  Returns ``(size, bought mask)``, the mask inside
     ``comp``.
     """
@@ -162,13 +169,14 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
                        "stored, %d closures computed", len(verts), top, len(best), len(memo))
             return top, top_mask
         for S in buckets[cost]:
-            if best[S][0] != cost:
+            c, witness = best[S]
+            if c != cost:
                 continue
-            witness = best[S][1]
+            white = full ^ S
             for v in verts:
                 bit = 1 << v
-                add = (masks[v] | bit) & ~S
-                if not add:
+                add = (masks[v] | bit) & white
+                if not 0 < add.bit_count() <= top - cost + 1:
                     continue
                 free = 1 << (add.bit_length() - 1)
                 if free == bit and not self_ok & bit:
@@ -199,7 +207,11 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
 
 def _close(rule, blue) -> frozenset[int]:
     masks, n, self_ok = rule
-    return _to_set(_closure(masks, n, _to_mask(blue), self_ok))
+    vertices = [int(v) for v in blue]
+    for v in vertices:
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} out of range 1..{n}")
+    return _to_set(_closure(masks, n, _to_mask(vertices), self_ok))
 
 
 def coupled_closure(CG: CoupledGraph, blue) -> frozenset[int]:

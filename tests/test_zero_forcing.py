@@ -204,10 +204,14 @@ def test_search_matches_the_reference_under_all_three_rules():
         _assert_rules_match_reference(G, couplings)
 
 
-def test_search_skips_steps_that_lose_the_tie_break_at_the_cheapest_full_cost(monkeypatch):
+def test_search_skips_steps_that_lose_the_tie_break_at_the_cheapest_full_cost(
+    monkeypatch, caplog
+):
     # a step at the cost of the stored full set whose mask is not below the
     # stored one is skipped before its closure; the counts with only the steps
-    # above that cost skipped were 118, 57 and 297
+    # above that cost skipped were 118, 57 and 297.  The pinned counts are
+    # exact: the start's closure, then one per memo entry, and the DEBUG
+    # record's (closed sets stored, closures computed)
     calls = [0]
     closure = zf._closure
 
@@ -216,12 +220,17 @@ def test_search_skips_steps_that_lose_the_tie_break_at_the_cheapest_full_cost(mo
         return closure(*args)
 
     monkeypatch.setattr(zf, "_closure", counted)
-    for (seed, density), before in zip([(11, 0.3), (12, 0.6), (13, 0.15)], [118, 57, 297]):
+    caplog.set_level(logging.DEBUG, logger="spisep")
+    pins = {(11, 0.3): (118, 71, 41, 70), (12, 0.6): (57, 29, 18, 28),
+            (13, 0.15): (297, 151, 49, 150)}
+    for (seed, density), (before, after, stored, computed) in pins.items():
         rule = zf._rule(_random_graph(np.random.default_rng(seed), 20, density)
                         .with_edges(sp.split_coupling(20).pairs))
         calls[0] = 0
+        caplog.clear()
         found = zf._min_forcing_set(*rule)
-        assert calls[0] <= 0.7 * before, (seed, calls[0])
+        assert calls[0] == after <= 0.7 * before, (seed, calls[0])
+        assert [r.args[2:] for r in caplog.records] == [(stored, computed)]
         assert found == _min_forcing_set_reference(*rule)
 
 
@@ -347,6 +356,60 @@ def test_closure_of_full_and_empty_sets():
     # on a single coupled edge nothing fires from an all-white start
     K2 = sp.CoupledGraph(sp.LabeledGraph.from_edges(2, [(1, 2)]), sp.matching_coupling(2))
     assert sp.coupled_closure(K2, ()) == frozenset()
+
+
+def test_closures_refuse_vertices_outside_the_graph():
+    CG = sp.CoupledGraph(sp.path_graph(6), sp.split_coupling(6))
+    G = sp.path_graph(4)
+    cases = [(sp.coupled_closure, CG, 6), (sp.loop_closure, G, 4), (sp.standard_closure, G, 4)]
+    for close, graph, n in cases:
+        for v in (0, n + 1, -1):
+            with pytest.raises(ValueError, match=rf"vertex {v} out of range 1\.\.{n}"):
+                close(graph, {1, v})
+        assert close(graph, [np.int64(1), 2.0]) == close(graph, {1, 2})
+
+
+def _closure_one_force_at_a_time(masks, n, blue, self_ok, rng):
+    # every force applicable to the current coloring, then one of them at random
+    while True:
+        moves = []
+        for v in range(n):
+            white = masks[v] & ~blue
+            if blue >> v & 1:
+                if white and not white & (white - 1):
+                    moves.append(white)
+            elif not white and self_ok >> v & 1:
+                moves.append(1 << v)
+        if not moves:
+            return blue
+        blue |= moves[int(rng.integers(len(moves)))]
+
+
+def test_closure_matches_one_force_at_a_time():
+    # standard, loop and (at even order) coupled rules; the vertices fall into
+    # up to three groups with no edge between them, so many graphs are
+    # disconnected and the sparse ones have isolated vertices
+    rng = np.random.default_rng(19)
+    inputs = disconnected = isolated = 0
+    for _ in range(1300):
+        n = int(rng.integers(1, 17))
+        group = rng.integers(0, rng.integers(1, 4), size=n)
+        prob = rng.uniform(0.0, 0.7)
+        G = sp.LabeledGraph.from_edges(n, [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if group[i - 1] == group[j - 1] and rng.uniform() < prob])
+        rules = [zf._rule(G, self_forcing=False), zf._rule(G)]
+        if n % 2 == 0:
+            order = [int(v) for v in rng.permutation(n) + 1]
+            rules.append(zf._rule(G.with_edges(zip(order[::2], order[1::2]))))
+        for masks, _, self_ok in rules:
+            blue = int(rng.integers(0, 1 << n))
+            want = _closure_one_force_at_a_time(masks, n, blue, self_ok, rng)
+            assert zf._closure(masks, n, blue, self_ok) == want, (masks, blue, self_ok)
+            inputs += 1
+            disconnected += len(zf._components(masks, n)) > 1
+            isolated += not all(masks)
+    assert inputs >= 3000 and disconnected >= 1000 and isolated >= 1000
 
 
 def test_coupled_closure_monotone_and_idempotent():
