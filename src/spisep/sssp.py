@@ -208,8 +208,7 @@ def _assemble(
         out[first[0], first[1]] = first[2]
         out[second[0], second[1]] += second[2]
         return out
-    # the structural zeros of N make most of the values exact zeros; each
-    # scatter drops its own before the two are joined
+    # the structural zeros of N make many of the values exact zeros
     kept = []
     for rows, cols, values in (first, second):
         keep = values != 0.0
