@@ -15,6 +15,7 @@ from scipy.linalg import hessenberg
 from scipy.sparse import csgraph
 
 from .core import (
+    _check_size,
     _check_targets,
     _invertible,
     _nonzero,
@@ -307,15 +308,11 @@ def isolated_vertex_obstruction(G: LabeledGraph) -> bool:
     Any positive definite matrix with such a pattern has at least two
     distinct symplectic eigenvalues.
     """
-    if G.order % 2 != 0:
+    n = G.order
+    if n % 2 != 0:
         raise ValueError("graph order must be even")
-    p = G.order // 2
-    for i in range(1, 2 * p + 1):
-        if G.degree(i) == 0:
-            j = i + p if i <= p else i - p
-            if G.degree(j) > 0:
-                return True
-    return False
+    masks = G._masks
+    return any(not masks[v] and masks[(v + n // 2) % n] for v in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +385,7 @@ def householder_all_nonzero(p: int) -> np.ndarray:
     magnitude 1/sqrt(2); shearing by it yields the complete bipartite
     matching pattern with lower-right block 2I.
     """
+    p = _check_size(p)
     if p == 1:
         return np.array([[-1.0]])
     v = np.arange(1.0, p + 1.0)

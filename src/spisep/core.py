@@ -59,12 +59,29 @@ def _symmetric_block(B) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
+def _as_int(x) -> int:
+    """x as an int when its value is an integer: Python and numpy integers and
+    floats such as 2.0 pass; 2.5, infinities, strings and booleans raise
+    ValueError instead of being truncated."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, (float, np.floating)) and x.is_integer():
+        return int(x)
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
+def _check_size(p) -> int:
+    """p as an int, or ValueError unless it is a positive integer."""
+    p = _as_int(p)
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    return p
+
+
 @lru_cache(maxsize=8)
 def omega(p: int) -> np.ndarray:
     """The 2p x 2p matrix [[0, I], [-I, 0]] defining the symplectic form, read-only."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    p = int(p)
+    p = _check_size(p)
     om = np.zeros((2 * p, 2 * p))
     om[:p, p:] = np.eye(p)
     om[p:, :p] = -np.eye(p)
@@ -428,7 +445,7 @@ def basic_symplectic(kind: str, arg) -> np.ndarray:
 
 
 def _check_permutation(sigma) -> tuple[int, ...]:
-    sigma = tuple(int(s) for s in sigma)
+    sigma = tuple(map(_as_int, sigma))
     n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("sigma must be a permutation of 1..n")

@@ -4,6 +4,8 @@ Vertices of a :class:`LabeledGraph` are always 1..n.  A :class:`Coupling`
 partitions 1..2p into p unordered pairs; a :class:`CoupledGraph` is a graph
 on vertex *names* 1..2p together with a coupling of those names.  The names
 are turned into matrix labels only by an explicit representative labeling.
+Every graph question here and in :mod:`spisep.zero_forcing` reads one cached
+bitmask adjacency, ``LabeledGraph._masks``; one flood fill finds components.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
 
-from .core import _check_permutation, _nonzero, as_symmetric
+from .core import _as_int, _check_permutation, _check_size, _nonzero, as_symmetric
 
 
 def _norm_edge(e) -> tuple[int, int]:
-    i, j = int(e[0]), int(e[1])
+    i, j = _as_int(e[0]), _as_int(e[1])
     if i == j:
         raise ValueError(f"loops are not allowed: ({i}, {j})")
     return (i, j) if i < j else (j, i)
@@ -45,7 +46,7 @@ class LabeledGraph:
 
     @classmethod
     def from_edges(cls, order: int, edges=()) -> "LabeledGraph":
-        return cls(order=int(order), edges=frozenset(_norm_edge(e) for e in edges))
+        return cls(order=_as_int(order), edges=frozenset(_norm_edge(e) for e in edges))
 
     @property
     def size(self) -> int:
@@ -55,23 +56,24 @@ class LabeledGraph:
         return _norm_edge((i, j)) in self.edges
 
     @cached_property
-    def _neighbor_sets(self) -> dict[int, frozenset[int]]:
-        # built once per instance; not a field, so equality and hashing
-        # still see only order and edges
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.order + 1)}
+    def _masks(self) -> tuple[int, ...]:
+        # bit u - 1 of _masks[v - 1] is set iff {u, v} is an edge; built once
+        # per instance and not a field, so equality and hashing still see
+        # only order and edges
+        masks = [0] * self.order
         for i, j in self.edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        return {v: frozenset(s) for v, s in nbrs.items()}
+            masks[i - 1] |= 1 << (j - 1)
+            masks[j - 1] |= 1 << (i - 1)
+        return tuple(masks)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._neighbor_sets.get(v, frozenset())
+        return _to_set(self._masks[v - 1]) if v in range(1, self.order + 1) else frozenset()
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return self._masks[v - 1].bit_count() if v in range(1, self.order + 1) else 0
 
     def min_degree(self) -> int:
-        return min(self.degree(v) for v in range(1, self.order + 1))
+        return min(m.bit_count() for m in self._masks)
 
     def with_edges(self, extra) -> "LabeledGraph":
         # this graph's own edges were checked when it was made, so only the
@@ -99,11 +101,29 @@ class LabeledGraph:
         )
 
     def is_connected(self) -> bool:
-        adjacency = csr_array(self.adjacency())
-        return csgraph.connected_components(adjacency, directed=False, return_labels=False) == 1
+        return len(_components(self._masks, self.order)) == 1
 
     def is_tree(self) -> bool:
         return self.size == self.order - 1 and self.is_connected()
+
+
+def _to_set(mask: int) -> frozenset[int]:
+    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _components(masks: tuple[int, ...], n: int) -> list[int]:
+    """Vertex masks of the components of the graph, by bitmask flood fill."""
+    comps, left = [], (1 << n) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:
+            v = todo.bit_length() - 1
+            new = masks[v] & ~comp
+            comp |= new
+            todo ^= 1 << v | new
+        comps.append(comp)
+        left ^= comp
+    return comps
 
 
 def graph_of_matrix(N, zero_tol: float | None = None) -> LabeledGraph:
@@ -147,7 +167,7 @@ class Coupling:
 
     @classmethod
     def from_pairs(cls, pairs) -> "Coupling":
-        norm = sorted(tuple(sorted((int(a), int(b)))) for a, b in pairs)
+        norm = sorted(tuple(sorted(map(_as_int, ab))) for ab in pairs)
         return cls(pairs=tuple((a, b) for a, b in norm))
 
     @property
@@ -308,8 +328,7 @@ def path_shear_block(p: int) -> np.ndarray:
 
     Shearing by this block produces the triangular-path pattern below.
     """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
+    p = _check_size(p)
     B = np.zeros((p, p))
     for i in range(p - 1):
         B[i, i + 1] = B[i + 1, i] = 1.0
@@ -358,34 +377,30 @@ def is_caterpillar(G: LabeledGraph) -> bool:
     """True iff G is a tree whose non-leaf vertices induce a path (possibly empty).
 
     Deleting the leaves of a tree leaves a subtree, which is a path exactly
-    when no vertex in it has more than two neighbours in it.
+    when no vertex in it (nor any leaf) has more than two neighbours in it.
     """
     if not G.is_tree():
         return False
-    spine = {v for v in range(1, G.order + 1) if G.degree(v) >= 2}
-    return all(len(G.neighbors(v) & spine) <= 2 for v in spine)
+    spine = sum(1 << v for v, m in enumerate(G._masks) if m & (m - 1))
+    return all((m & spine).bit_count() <= 2 for m in G._masks)
 
 
 def tree_perfect_matching(G: LabeledGraph) -> Coupling | None:
     """The unique perfect matching of a tree, or None if there is none.
 
-    Visits the vertices deepest first from a BFS rooted at 1: a vertex still
-    unmatched when its turn comes has no unmatched child left, so it must
-    take its parent.  Raises on non-tree input.
+    Peels leaves: a leaf must take its only neighbour, and removing the pair
+    leaves a forest whose perfect matchings are the rest of the tree's.  A
+    vertex left with no neighbour has no mate.  Raises on non-tree input.
     """
     if not G.is_tree():
         raise ValueError("input graph is not a tree")
-    if G.order % 2 != 0:
-        return None
-    order, parent = csgraph.breadth_first_order(
-        csr_array(G.adjacency()), 0, directed=False, return_predecessors=True
-    )
-    mate = np.full(G.order, -1)
-    for v in order[::-1]:
-        if mate[v] >= 0:
-            continue
-        u = parent[v]
-        if u < 0 or mate[u] >= 0:
+    left, pairs = (1 << G.order) - 1, []
+    while left:
+        # a nonempty forest has a vertex with at most one neighbour
+        v = next(v for v, m in enumerate(G._masks) if left >> v & 1 and (m & left).bit_count() <= 1)
+        mate = G._masks[v] & left
+        if not mate:
             return None
-        mate[v], mate[u] = u, v
-    return Coupling.from_pairs((v + 1, u + 1) for v, u in enumerate(mate) if v < u)
+        left ^= 1 << v | mate
+        pairs.append((v + 1, mate.bit_length()))
+    return Coupling.from_pairs(pairs)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .core import _symmetric_block, as_symmetric
+from .core import _as_int, _symmetric_block, as_symmetric
 from .graphs import Coupling, LabeledGraph
 
 
@@ -60,10 +60,10 @@ def load_matrix(path: str) -> np.ndarray:
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad matrix file {path}: {exc}") from exc
         try:
-            order = int(data["order"])
+            order = _as_int(data["order"])
             M = np.asarray(data["entries"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: expected fields 'order' and 'entries'") from exc
+            raise ParseError(f"{path}: expected fields 'order' and 'entries': {exc}") from exc
         if M.shape != (order, order):
             raise ParseError(f"{path}: entries shape {M.shape} does not match order {order}")
     try:
@@ -95,10 +95,10 @@ def load_graph(path: str) -> tuple[LabeledGraph, Coupling | None]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad graph file {path}: {exc}") from exc
     try:
-        order = int(data["order"])
-        edges = [(int(i), int(j)) for i, j in data.get("edges", [])]
+        order = _as_int(data["order"])
+        edges = [(i, j) for i, j in data.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: expected fields 'order' and 'edges'") from exc
+        raise ParseError(f"{path}: expected fields 'order' and 'edges': {exc}") from exc
     try:
         G = LabeledGraph.from_edges(order, edges)
     except ValueError as exc:
@@ -106,9 +106,7 @@ def load_graph(path: str) -> tuple[LabeledGraph, Coupling | None]:
     coupling = None
     if data.get("coupling") is not None:
         try:
-            coupling = Coupling.from_pairs(
-                (int(a), int(b)) for a, b in data["coupling"]
-            )
+            coupling = Coupling.from_pairs((a, b) for a, b in data["coupling"])
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: bad coupling: {exc}") from exc
         if 2 * coupling.p != order:

@@ -22,6 +22,7 @@ from .core import (
     _EPS,
     DEFAULT_CLUSTER_TOL,
     NotPositiveDefiniteError,
+    _check_size,
     _check_targets,
     _cholesky_proves,
     _cluster_starts,
@@ -83,9 +84,7 @@ def sp_basis(p: int) -> list[np.ndarray]:
     superdiagonal), then {E_{i,j} - E_{j+p,i+p}} with each superdiagonal
     followed by the matching subdiagonal.  The matrices are read-only.
     """
-    if p < 1:
-        raise ValueError("p must be a positive integer")
-    p = int(p)
+    p = _check_size(p)
     elems = []
     for (r1, c1, v1), (r2, c2, v2) in _basis_terms(p):
         M = np.zeros((2 * p, 2 * p))

@@ -1,17 +1,19 @@
 """Coupled, loop, and standard zero forcing numbers by exact search.
 
-The color change processes run on bitmask adjacency internally; minimum
-forcing sets are found by the Wavefront search of Butler et al. (Sage
-Minimum Rank Library), a cheapest-first search over closed blue sets,
-adapted here to the self-forcing rule of the loop and coupled processes,
-and bounded by the cheapest full forcing set it has found so far.  No force
-crosses a component of the graph, so each component is searched alone with
-every other vertex blue, and the sizes add up; an isolated vertex, which no
-rule can force, is a component of cost 1.  Within one component's search
-each closure is computed once.  The search is exact; its cost and memory
-grow with the closed sets it stores, so it raises ValueError when one
-component's search stores more than 2**20 of them.  They are distinct
-vertex subsets, so no component of order 20 or less reaches that budget.
+The color change processes run on ``LabeledGraph._masks``, the graph's own
+bitmask adjacency; minimum forcing sets are found by the Wavefront search of
+Butler et al. (Sage Minimum Rank Library), a cheapest-first search over
+closed blue sets, adapted here to the self-forcing rule of the loop and
+coupled processes, and bounded by the cheapest full forcing set it has found
+so far.  No force crosses a component of the graph, so each component of the
+graph layer's flood fill, :func:`spisep.graphs._components`, is searched
+alone with every other vertex blue, and the sizes add up; an isolated
+vertex, which no rule can force, is a component of cost 1.  Within one
+component's search each closure is computed once.  The search is exact; its
+cost and memory grow with the closed sets it stores, so it raises ValueError
+when one component's search stores more than 2**20 of them.  They are
+distinct vertex subsets, so no component of order 20 or less reaches that
+budget.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .core import symplectic_spectrum
+from .core import _as_int, symplectic_spectrum
 from .graphs import (
     CoupledGraph,
     LabeledGraph,
+    _components,
+    _to_set,
     coupling_closure_graph,
     graph_of_matrix,
     is_caterpillar,
@@ -34,24 +38,20 @@ _CLOSED_SET_BUDGET = 2**20
 _log = logging.getLogger(__name__)
 
 
-def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[list[int], int, int]:
+def _rule(G: LabeledGraph, *, self_forcing: bool = True) -> tuple[tuple[int, ...], int, int]:
     """``(masks, n, self_ok)`` of a forcing rule on G, as bitmasks.
 
-    The relevant set of v is N(v); the coupled rule is the loop rule on the
-    coupling closure graph.  A vertex with an empty relevant set can never
-    be forced; every other vertex may force itself when ``self_forcing``
-    holds (the loop and coupled rules).
+    The relevant set of v is N(v), so ``masks`` is G's own adjacency; the
+    coupled rule is the loop rule on the coupling closure graph.  A vertex
+    with an empty relevant set can never be forced; every other vertex may
+    force itself when ``self_forcing`` holds (the loop and coupled rules).
     """
-    n = G.order
-    masks = [0] * n
-    for i, j in G.edges:
-        masks[i - 1] |= 1 << (j - 1)
-        masks[j - 1] |= 1 << (i - 1)
-    live = sum(1 << v for v in range(n) if masks[v])
-    return masks, n, live if self_forcing else 0
+    masks = G._masks
+    live = sum(1 << v for v, m in enumerate(masks) if m)
+    return masks, G.order, live if self_forcing else 0
 
 
-def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
+def _closure(masks: tuple[int, ...], n: int, blue: int, self_ok: int) -> int:
     """Fixed point of the color change rules on bitmasks.
 
     Rule 1: a blue v forces the unique white vertex of its relevant set.
@@ -82,40 +82,14 @@ def _closure(masks: list[int], n: int, blue: int, self_ok: int) -> int:
     return full ^ white
 
 
-def _to_set(mask: int) -> frozenset[int]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
-
-
 def _to_mask(vertices) -> int:
     m = 0
     for v in vertices:
-        m |= 1 << (int(v) - 1)
+        m |= 1 << (v - 1)
     return m
 
 
-def _components(masks: list[int], n: int) -> list[int]:
-    """Vertex masks of the components of the graph, by bitmask flood fill."""
-    comps, left = [], (1 << n) - 1
-    while left:
-        comp = todo = left & -left
-        while todo:
-            v = todo.bit_length() - 1
-            new = masks[v] & ~comp
-            comp |= new
-            todo ^= 1 << v | new
-        comps.append(comp)
-        left ^= comp
-    return comps
-
-
-def _min_forcing_set(masks: list[int], n: int, self_ok: int) -> tuple[int, int]:
+def _min_forcing_set(masks: tuple[int, ...], n: int, self_ok: int) -> tuple[int, int]:
     """``(size, blue mask)`` of a minimum forcing set: each component's, added up."""
     size = witness = 0
     for comp in _components(masks, n):
@@ -124,7 +98,7 @@ def _min_forcing_set(masks: list[int], n: int, self_ok: int) -> tuple[int, int]:
     return size, witness
 
 
-def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tuple[int, int]:
+def _min_component_set(masks: tuple[int, ...], n: int, self_ok: int, comp: int) -> tuple[int, int]:
     """Minimum forcing set of one component by the Wavefront search over
     closed blue sets, with every vertex outside ``comp`` blue.
 
@@ -163,11 +137,9 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
     buckets: list[set[int]] = [set() for _ in range(len(verts) + 1)]
     buckets[0].add(start)
     top, top_mask = best.get(full, (n + 1, 0))
-    for cost in range(len(verts) + 1):
-        if top == cost:
-            _log.debug("forcing search: component of order %d, size %d, %d closed sets "
-                       "stored, %d closures computed", len(verts), top, len(best), len(memo))
-            return top, top_mask
+    cost = 0
+    # B = V always forces, so some step reaches the full set by cost len(verts)
+    while top != cost:
         for S in buckets[cost]:
             c, witness = best[S]
             if c != cost:
@@ -202,12 +174,15 @@ def _min_component_set(masks: list[int], n: int, self_ok: int, comp: int) -> tup
                         raise ValueError(f"the forcing search stored {len(best)} closed sets "
                                          f"of one component, over its budget of "
                                          f"{_CLOSED_SET_BUDGET}")
-    return len(verts), comp  # unreachable: B = V always forces
+        cost += 1
+    _log.debug("forcing search: component of order %d, size %d, %d closed sets stored, "
+               "%d closures computed", len(verts), top, len(best), len(memo))
+    return top, top_mask
 
 
 def _close(rule, blue) -> frozenset[int]:
     masks, n, self_ok = rule
-    vertices = [int(v) for v in blue]
+    vertices = [_as_int(v) for v in blue]
     for v in vertices:
         if not 1 <= v <= n:
             raise ValueError(f"vertex {v} out of range 1..{n}")

@@ -306,6 +306,26 @@ def test_isolated_vertex_obstruction():
     assert not sp.isolated_vertex_obstruction(paired_iso)
 
 
+def test_isolated_vertex_obstruction_matches_a_degree_scan_on_the_atlas():
+    rng = np.random.default_rng(35)
+    count = hits = 0
+    for g in nx.graph_atlas_g()[1:]:
+        n = g.number_of_nodes()
+        if n > 7:
+            break
+        if n % 2:
+            continue
+        sigma = rng.permutation(n) + 1
+        G = sp.LabeledGraph.from_edges(n, [(sigma[u], sigma[v]) for u, v in g.edges()])
+        p = n // 2
+        want = any(G.degree(i) == 0 and G.degree(i + p if i <= p else i - p) > 0
+                   for i in range(1, n + 1))
+        assert sp.isolated_vertex_obstruction(G) == want, sorted(G.edges)
+        count += 1
+        hits += want
+    assert count == 2 + 11 + 156 and 0 < hits < count
+
+
 def test_sparsity_audit_triangular_path_equality():
     for p in (2, 4, 6):
         N = sp.shear_square(sp.path_shear_block(p))
@@ -409,6 +429,17 @@ def test_householder_all_nonzero():
         np.testing.assert_allclose(B @ B, np.eye(p), atol=1e-12)
         np.testing.assert_allclose(B, B.T, atol=1e-15)
         assert np.min(np.abs(B)) > 1e-8
+
+
+@pytest.mark.parametrize("p, message", [
+    (0, "p must be a positive integer, got 0"),
+    (-2, "p must be a positive integer, got -2"),
+    (2.5, "expected an integer, got 2.5"),
+])
+def test_householder_all_nonzero_refuses_a_bad_size(p, message):
+    # p = 0 once failed inside numpy with a zero-size array error
+    with pytest.raises(ValueError, match=message):
+        sp.householder_all_nonzero(p)
 
 
 def test_forced_entry_fires_exactly_on_simple_only_pairs():

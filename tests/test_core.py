@@ -33,6 +33,30 @@ def test_omega_small():
     assert np.array_equal(om, expected)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: sp.omega(2.5), "expected an integer, got 2.5"),
+    (lambda: sp.omega(0), "p must be a positive integer, got 0"),
+    (lambda: sp.sp_basis(1.5), "expected an integer, got 1.5"),
+    (lambda: sp.sp_basis(True), "expected an integer, got True"),
+    (lambda: sp.permutation_matrix([1.0, 2.5, 3]), "expected an integer, got 2.5"),
+    (lambda: sp.is_valid_symplectic_relabeling([1.5, 2.5]), "expected an integer, got 1.5"),
+    (lambda: sp.relabel(np.eye(2), ["2", "1"]), "expected an integer, got '2'"),
+])
+def test_sizes_and_labels_refuse_non_integers(call, message):
+    # each was once truncated: permutation_matrix([1.0, 2.5, 3]) was the identity
+    # and omega(2.5) was 4 x 4
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_sizes_and_labels_take_numpy_integers():
+    assert np.array_equal(sp.omega(np.int64(2)), sp.omega(2))
+    assert len(sp.sp_basis(np.int32(2))) == 10
+    sigma = np.array([2, 1, 4, 3])
+    assert np.array_equal(sp.permutation_matrix(sigma), sp.permutation_matrix([2, 1, 4, 3]))
+    assert sp.is_valid_symplectic_relabeling(np.array([3, 2, 1, 4]))
+
+
 def test_basic_symplectic_matrices_are_symplectic():
     rng = np.random.default_rng(0)
     assert sp.is_symplectic(sp.omega(3))

@@ -302,3 +302,74 @@ def test_neighbors_match_edge_scan_and_leave_equality_alone():
             assert G.neighbors(v) == {j if i == v else i for i, j in edges if v in (i, j)}
         assert G == fresh and hash(G) == hash(fresh)
         assert len({G, fresh}) == 1
+
+
+def _atlas_graphs(max_order, rng):
+    """Every graph of graph_atlas_g of order 1..max_order, under a random relabeling."""
+    for g in nx.graph_atlas_g()[1:]:
+        n = g.number_of_nodes()
+        if n > max_order:
+            return
+        sigma = rng.permutation(n) + 1
+        yield sp.LabeledGraph.from_edges(n, [(sigma[u], sigma[v]) for u, v in g.edges()])
+
+
+def _assert_components_match_networkx(G):
+    H = nx.Graph(list(G.edges))
+    H.add_nodes_from(range(1, G.order + 1))
+    want = sorted(sorted(c) for c in nx.connected_components(H))
+    got = sorted(sorted(graphs._to_set(c)) for c in graphs._components(G._masks, G.order))
+    assert got == want, sorted(G.edges)
+    assert G.is_connected() == (len(want) == 1)
+
+
+def test_components_match_networkx_on_the_atlas_and_random_graphs():
+    rng = np.random.default_rng(35)
+    count = sum(_assert_components_match_networkx(G) is None for G in _atlas_graphs(7, rng))
+    assert count == 1252  # graph_atlas_g has 1252 graphs of order 1..7
+    isolated = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 41))
+        prob = rng.uniform(0.0, 4.0 / n)
+        G = sp.LabeledGraph.from_edges(n, [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.uniform() < prob])
+        _assert_components_match_networkx(G)
+        isolated += G.min_degree() == 0
+    assert isolated >= 100
+
+
+def test_masks_are_the_adjacency_matrix():
+    G = sp.LabeledGraph.from_edges(5, [(1, 2), (2, 5), (3, 5)])
+    A = G.adjacency()
+    assert G._masks == tuple(sum(1 << u for u in range(5) if A[v, u]) for v in range(5))
+    assert G.with_edges([(1, 4)])._masks[0] == 0b1010
+
+
+def test_degree_is_zero_outside_the_vertex_range():
+    for G in (sp.empty_graph(1), sp.path_graph(4), sp.complete_graph(5)):
+        n = G.order
+        assert G.degree(0) == G.degree(n + 1) == 0
+        assert G.neighbors(0) == G.neighbors(n + 1) == frozenset()
+        assert [G.degree(v) for v in range(1, n + 1)] == [len(G.neighbors(v)) for v in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sp.LabeledGraph.from_edges(4.9, [(1, 2)]),
+    lambda: sp.LabeledGraph.from_edges(4, [(1.5, 2)]),
+    lambda: sp.LabeledGraph.from_edges(4, [(2, 3.99)]),
+    lambda: sp.path_graph(4).has_edge(1, 2.5),
+    lambda: sp.Coupling.from_pairs([(1, 2.7), (3, 4)]),
+    lambda: sp.path_graph(4).relabeled([1.5, 2, 3, 4]),
+    lambda: sp.path_shear_block(2.5),
+])
+def test_graphs_refuse_non_integral_vertices_and_sizes(build):
+    # each was once truncated: from_edges(4.9, ...) made an order-4 graph
+    with pytest.raises(ValueError, match="expected an integer"):
+        build()
+
+
+def test_graphs_take_numpy_integers_and_integral_floats():
+    G = sp.LabeledGraph.from_edges(np.int64(3), [(np.int64(1), 2), (2.0, 3)])
+    assert G == sp.path_graph(3) and type(G.order) is int
+    assert all(type(v) is int for e in G.edges for v in e)
+    assert sp.Coupling.from_pairs(np.array([[2, 1], [3, 4]])) == sp.matching_coupling(4)

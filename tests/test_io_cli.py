@@ -68,6 +68,15 @@ def test_load_matrix_errors(tmp_path):
         load_matrix(str(tmp_path / "missing.json"))
 
 
+def test_integral_floats_in_files_are_read_as_integers(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text('{"order": 4.0, "edges": [[1, 2.0], [2, 3], [3, 4]], '
+                    '"coupling": [[1.0, 2], [3, 4]]}')
+    assert load_graph(str(path)) == (sp.path_graph(4), sp.matching_coupling(4))
+    path.write_text('{"order": 2.0, "entries": [[2, 0], [0, 2]]}')
+    assert np.array_equal(load_matrix(str(path)), 2 * np.eye(2))
+
+
 def test_load_matrix_symmetrizes_within_the_symmetric_block_rule(tmp_path):
     # an asymmetry within 1e-10 max(1, max |N|) is rounding, and the symmetric part is read
     path = tmp_path / "near.json"
@@ -242,6 +251,14 @@ _REJECTED_FILES = {
     "loop.json": '{"order": 2, "edges": [[1, 1]]}',
     "repeated.json": '{"order": 4, "edges": [], "coupling": [[1, 1], [2, 3]]}',
     "uncovered.json": '{"order": 6, "edges": [], "coupling": [[1, 2], [3, 4]]}',
+    # each once ran as the order-4 path or 4 x 4 matrix it was truncated to
+    "fractional.json": '{"order": 4.9, "edges": [[1.5, 2], [2, 3.99], [3, 4]], '
+                       '"coupling": [[1, 2.7], [3, 4]]}',
+    "fractional_edge.json": '{"order": 4, "edges": [[1.5, 2], [2, 3], [3, 4]]}',
+    "fractional_pair.json": '{"order": 4, "edges": [[1, 2]], "coupling": [[1, 2.7], [3, 4]]}',
+    "boolean_order.json": '{"order": true, "edges": []}',
+    "half_order.json": '{"order": 4.5, "entries": [[2, 0, 0, 0], [0, 2, 0, 0], '
+                       '[0, 0, 2, 0], [0, 0, 0, 2]]}',
 }
 
 
@@ -260,6 +277,11 @@ _REJECTED_FILES = {
     (["zc", "loop.json"], 2, "loops are not allowed"),
     (["zc", "repeated.json"], 2, "coupling: vertex 1 is paired with itself"),
     (["zc", "uncovered.json"], 2, "coupling does not cover 1..6"),
+    (["zc", "fractional.json"], 2, "expected an integer, got 4.9"),
+    (["zc", "fractional_edge.json"], 2, "expected an integer, got 1.5"),
+    (["zc", "fractional_pair.json"], 2, "bad coupling: expected an integer, got 2.7"),
+    (["zc", "boolean_order.json"], 2, "expected an integer, got True"),
+    (["spectrum", "half_order.json"], 2, "expected an integer, got 4.5"),
     # each once exited 0: spectrum reported sqrt 6 and sssp true
     *[([cmd, name], 2, "block must be symmetric")
       for cmd in ("spectrum", "sssp") for name in ("skew.json", "skew.mtx")],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spisep as sp
+from spisep import graphs
 from spisep import zero_forcing as zf
 
 
@@ -367,6 +368,9 @@ def test_closures_refuse_vertices_outside_the_graph():
             with pytest.raises(ValueError, match=rf"vertex {v} out of range 1\.\.{n}"):
                 close(graph, {1, v})
         assert close(graph, [np.int64(1), 2.0]) == close(graph, {1, 2})
+        # 1.5 was once truncated, so the closure started from {1}
+        with pytest.raises(ValueError, match="expected an integer, got 1.5"):
+            close(graph, [1.5])
 
 
 def _closure_one_force_at_a_time(masks, n, blue, self_ok, rng):
@@ -407,7 +411,7 @@ def test_closure_matches_one_force_at_a_time():
             want = _closure_one_force_at_a_time(masks, n, blue, self_ok, rng)
             assert zf._closure(masks, n, blue, self_ok) == want, (masks, blue, self_ok)
             inputs += 1
-            disconnected += len(zf._components(masks, n)) > 1
+            disconnected += len(graphs._components(masks, n)) > 1
             isolated += not all(masks)
     assert inputs >= 3000 and disconnected >= 1000 and isolated >= 1000
 
