@@ -324,6 +324,8 @@ def test_isolated_vertex_obstruction_matches_a_degree_scan_on_the_atlas():
         count += 1
         hits += want
     assert count == 2 + 11 + 156 and 0 < hits < count
+    with pytest.raises(ValueError, match="graph order must be even"):
+        sp.isolated_vertex_obstruction(sp.path_graph(3))
 
 
 def test_sparsity_audit_triangular_path_equality():
