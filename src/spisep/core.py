@@ -63,6 +63,8 @@ def _as_int(x) -> int:
     """x as an int when its value is an integer: Python and numpy integers and
     floats such as 2.0 pass; 2.5, infinities, strings and booleans raise
     ValueError instead of being truncated."""
+    if type(x) is int:  # the common case, tested first: callers run this per vertex
+        return x
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
     if isinstance(x, (float, np.floating)) and x.is_integer():

@@ -108,7 +108,14 @@ class LabeledGraph:
 
 
 def _to_set(mask: int) -> frozenset[int]:
-    return frozenset(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+    out = []
+    v = 1
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return frozenset(out)
 
 
 def _components(masks: tuple[int, ...], n: int) -> list[int]:
