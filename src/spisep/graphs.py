@@ -4,8 +4,9 @@ Vertices of a :class:`LabeledGraph` are always 1..n.  A :class:`Coupling`
 partitions 1..2p into p unordered pairs; a :class:`CoupledGraph` is a graph
 on vertex *names* 1..2p together with a coupling of those names.  The names
 are turned into matrix labels only by an explicit representative labeling.
-Every graph question here and in :mod:`spisep.zero_forcing` reads one cached
-bitmask adjacency, ``LabeledGraph._masks``; one flood fill finds components.
+Neighbourhoods, degrees, connectivity, caterpillars, tree matchings and the
+forcing rules of :mod:`spisep.zero_forcing` read one cached bitmask
+adjacency, ``LabeledGraph._masks``, and one flood fill finds components.
 """
 
 from __future__ import annotations

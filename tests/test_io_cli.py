@@ -277,14 +277,14 @@ _REJECTED_FILES = {
     (["zc", "loop.json"], 2, "loops are not allowed"),
     (["zc", "repeated.json"], 2, "coupling: vertex 1 is paired with itself"),
     (["zc", "uncovered.json"], 2, "coupling does not cover 1..6"),
+    # each once exited 0: spectrum reported sqrt 6 and sssp true
+    *[([cmd, name], 2, "block must be symmetric")
+      for cmd in ("spectrum", "sssp") for name in ("skew.json", "skew.mtx")],
     (["zc", "fractional.json"], 2, "expected an integer, got 4.9"),
     (["zc", "fractional_edge.json"], 2, "expected an integer, got 1.5"),
     (["zc", "fractional_pair.json"], 2, "bad coupling: expected an integer, got 2.7"),
     (["zc", "boolean_order.json"], 2, "expected an integer, got True"),
     (["spectrum", "half_order.json"], 2, "expected an integer, got 4.5"),
-    # each once exited 0: spectrum reported sqrt 6 and sssp true
-    *[([cmd, name], 2, "block must be symmetric")
-      for cmd in ("spectrum", "sssp") for name in ("skew.json", "skew.mtx")],
 ])
 def test_cli_rejects_bad_inputs(argv, code, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
