@@ -15,11 +15,12 @@ give the derivative of each simple symplectic eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dpotrf, dpotrs, dtrtrs, zheevd
+from scipy.linalg.lapack import dgetrf, dpftrf, dpotrf, dpotrs, dtrttf, dtrtrs, zheevd
 
 DEFAULT_CLUSTER_TOL = 1e-6
 # the max-norm tolerance of both symplectic PD characterizations, which must
@@ -151,31 +152,45 @@ def _nonzero(N, zero_tol: float | None) -> np.ndarray:
     return np.abs(N) > zero_tol
 
 
-def _cholesky_proves(H: np.ndarray, shift: float) -> bool:
-    """Whether dpotrf completes on H with its diagonal lowered by shift * trace H.
-    H is overwritten.
+def _cholesky_proves(F: np.ndarray, shift: float) -> bool:
+    """Whether dpftrf completes on H with its diagonal lowered by shift * trace H.
 
-    With H symmetric of order n and Fortran-ordered (a C-ordered array passed
-    as its transpose), u = eps / 2 and gamma_j = j u / (1 - j u): f =
-    fl(trace H) must be positive and finite, H's diagonal is lowered by tau =
-    shift f, and True is returned only when LAPACK's dpotrf completes on the
-    result.  Then every shifted diagonal entry is positive, so each unshifted
-    one lies in (0, trace H] and the subtraction rounds it by at most u (f +
-    tau); the factorization gives R^T R = H - tau I + dH with ||dH||_2 <=
-    gamma_{n+1} ||R||_F^2 <= gamma_{n+1} f (1 + O(u)) (Demmel, "On floating
-    point errors in Cholesky", 1989; Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., section 10.1).  So lambda_min(H) >= tau -
-    (n + 2) u f (1 + O(u)), and no factorization completes once tau >= f.  A
-    trace that is zero, negative, infinite or NaN returns False, since an
-    optimized dpotrf may complete on NaN pivots.  Only the diagonal and the
-    upper triangle of H are read, so H is the symmetric matrix of that
-    triangle whatever its lower one holds.
+    F holds the lower triangle of the symmetric H of order n in LAPACK's
+    rectangular full packed format, TRANSR='N', UPLO='L': n (n + 1) / 2
+    doubles, as dtrttf packs it (Gustavson, Wasniewski, Dongarra and Langou,
+    ACM TOMS 37(2), 2010).  With k = ceil(n / 2), e = 1 - n mod 2 and
+    ld = n + e, the diagonal entries H_jj lie at F[e + j (ld + 1)] for j < k
+    and at F[(1 - e) ld + (j - k) (ld + 1)] for j >= k.  F is overwritten.
+
+    With u = eps / 2 and gamma_j = j u / (1 - j u): f = fl(trace H), summed in
+    the order of the diagonal, must be positive and finite, H's diagonal is
+    lowered by tau = shift f, and True is returned only when LAPACK's dpftrf
+    completes on the result.  Then every shifted diagonal entry is positive,
+    so each unshifted one lies in (0, trace H] and the subtraction rounds it
+    by at most u (f + tau); the factorization gives R^T R = H - tau I + dH
+    with ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1} f (1 + O(u))
+    (Demmel, "On floating point errors in Cholesky", 1989; Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 10.1).  That
+    bound holds for any blocking: dpftrf factors the RFP blocks by the same
+    level-3 steps as a blocked dpotrf, a Cholesky of the leading block
+    (dpotrf), a triangular solve for the off-diagonal block (dtrsm), a
+    symmetric update of the trailing block (dsyrk) and a Cholesky of it, so
+    each entry of R is still one inner product of length at most n
+    accumulated in some order.  So lambda_min(H) >= tau - (n + 2) u f
+    (1 + O(u)), and no factorization completes once tau >= f.  A trace that
+    is zero, negative, infinite or NaN returns False, since an optimized
+    Cholesky may complete on NaN pivots.
     """
-    f = H.trace()
+    n = (math.isqrt(8 * F.size + 1) - 1) // 2
+    k, e = (n + 1) // 2, 1 - n % 2
+    ld = n + e
+    first, last = F[e :: ld + 1][:k], F[(1 - e) * ld :: ld + 1][: n - k]
+    f = np.concatenate((first, last)).sum()
     if not 0.0 < f < np.inf:
         return False
-    H.flat[:: H.shape[0] + 1] -= shift * f
-    return dpotrf(H, clean=0, overwrite_a=1)[1] == 0
+    first -= shift * f
+    last -= shift * f
+    return dpftrf(n, F, transr="N", uplo="L", overwrite_a=1)[1] == 0
 
 
 def _min_norm_solve(J: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -218,7 +233,7 @@ def _certified_pd(N: np.ndarray) -> bool:
     # is_positive_definite's proof on an exactly symmetric N
     if not np.isfinite(N).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    return _cholesky_proves(N.copy(order="F"), 4 * (N.shape[0] + 1) * _EPS)
+    return _cholesky_proves(dtrttf(N, transr="N", uplo="L")[0], 4 * (N.shape[0] + 1) * _EPS)
 
 
 def _require_pd(N) -> np.ndarray:

@@ -27,10 +27,15 @@ def _norm_edge(e) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def _check_edges(order: int, edges) -> None:
+def _check_edges(order: int, edges: frozenset) -> frozenset:
+    # edges, with every endpoint an int as _as_int takes it; raises unless each
+    # edge (i, j) has 1 <= i < j <= order
     for i, j in edges:
-        if not (1 <= i < j <= order):
+        if type(i) is not int or type(j) is not int:
+            return _check_edges(order, frozenset((_as_int(i), _as_int(j)) for i, j in edges))
+        if not 1 <= i < j <= order:
             raise ValueError(f"edge ({i}, {j}) out of range 1..{order}")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -41,9 +46,11 @@ class LabeledGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        # from_edges's integer rule holds for a graph built directly too
+        object.__setattr__(self, "order", _as_int(self.order))
         if self.order < 1:
             raise ValueError("graph order must be positive")
-        _check_edges(self.order, self.edges)
+        object.__setattr__(self, "edges", _check_edges(self.order, self.edges))
 
     @classmethod
     def from_edges(cls, order: int, edges=()) -> "LabeledGraph":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dtrttf
 from scipy.sparse import csc_array, csr_array, issparse
 
 from .core import (
@@ -43,21 +44,23 @@ DEFAULT_RANK_TOL = 1e-9
 _log = logging.getLogger(__name__)
 
 # From this Gram order min(m, k) on, the oracles' row matrices are built as
-# sparse arrays and the lower triangles of their Gram matrices accumulated from
-# the rows' nonzero products (see _gram).  On 30%-density patterns the rows are
-# 2-6% nonzero.  In `tools/gram_crossover.py` (seeds 0 and 1, two runs each,
-# one BLAS thread) both oracles ran faster sparse at every m from 404 on, by
-# 0.5-27% at m = 404-448 and about half at m = 1230-1251; the rank oracle ran
-# faster dense at m = 340-347 in all four runs and at m = 380 in one of two.
-# From m = 267 on, the sparse path's traced peak is 0.5-0.8 of the dense
-# path's: 13.9-14.3 against 28.8-29.5 MiB at m = 1230-1251.
-_SPARSE_GRAM_ORDER = 400
+# sparse arrays and the packed lower triangles of their Gram matrices
+# accumulated from the rows' nonzero products (see _gram).  On 30%-density
+# patterns the rows are 2-6% nonzero.  In `tools/gram_crossover.py` (seeds 0
+# and 1, two runs each, one BLAS thread) both oracles ran faster sparse at
+# every m from 267 on, by 2-23% at m = 267-283 and by 55-60% at
+# m = 1230-1251, and the rank oracle ran faster dense at every m up to 199; in
+# 12 further draws at p = 12-14 it ran faster dense at 10 of
+# the 11 draws with m = 187-266 and sparse at m = 276.  The sparse path's
+# traced peak is at most 0.6 of the dense path's from m = 144 on: 8.2-8.4
+# against 34.5-35.4 MiB at m = 1230-1251.
+_SPARSE_GRAM_ORDER = 270
 
 # The summed indices whose products one np.add.at of _gram adds.  In
 # test_certificate_holds_little_more_than_its_gram_matrix (Gram order 1255) the
-# certificate's traced peak was 1.13 (rank) and 1.13 (nullspace) times the Gram
-# matrix's bytes, 1.25 and 1.24 at 256 and 1.36 and 1.35 at 384, above the test's
-# 1.35; 256 ran at most 0.25 ms faster on sssp-ladder's p = 20..30.
+# certificate's traced peak was 1.26 (rank) and 1.26 (nullspace) times the
+# packed triangle's bytes, 1.14 and 1.15 at 64 and 1.50 and 1.49 at 256, above
+# the test's 1.35.
 _GRAM_BLOCK = 128
 
 
@@ -251,41 +254,64 @@ def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, n
 
 
 def _gram(A: np.ndarray | csc_array | csr_array) -> np.ndarray:
-    """The n x n Gram matrix of A, n = min(A.shape), C-ordered: A A^T or A^T A.
+    """The lower triangle of the n x n Gram matrix of A, n = min(A.shape), A A^T
+    or A^T A, packed as :func:`core._cholesky_proves` reads it: in rectangular
+    full packed format (TRANSR='N', UPLO='L'), n (n + 1) / 2 doubles.
 
-    A dense A gives the whole product.  A sparse A gives only the lower
-    triangle, the strict upper triangle staying zero: with R the columns of A
-    (CSC) when m <= k, else its rows (CSR), each compressed slice of R is one
-    summed index r, and its products v_i v_j with i >= j are added into
-    G[i, j] by one sequential ``np.add.at`` per ``_GRAM_BLOCK`` summed
-    indices.  So each entry sums its products in ascending r, the first onto
-    an exact zero, whatever the format of A and the chunking.  That order makes
-    the triangle bit-identical to SciPy's full sparse product A A^T or A^T A,
-    whose Gustavson algorithm happens to sum in the same order.  The pair
-    enumeration needs sorted indices without duplicates, so a non-canonical A
-    is summed into a canonical copy first.
+    With h = ceil(n / 2), e = 1 - n mod 2 and ld = n + e, entry (i, j), i >= j,
+    sits at slot i + e + j ld when j < h and at (j - h) + (i - h + 1 - e) ld
+    when j >= h, the slots dtrttf gives it.  A dense A gives the whole product,
+    whose lower triangle dtrttf packs.  For a sparse A the n x n array is never
+    formed: with R the columns of A (CSC) when m <= k, else its rows (CSR),
+    each compressed slice of R is one summed index r, and its products
+    v_i v_j with i >= j are added into the slot of (i, j) by one sequential
+    ``np.add.at`` per ``_GRAM_BLOCK`` summed indices.  So each entry sums its
+    products in ascending r, the first onto an exact zero, whatever the format
+    of A and the chunking.  That order makes the triangle bit-identical to
+    SciPy's full sparse product A A^T or A^T A, whose Gustavson algorithm
+    happens to sum in the same order.  The pair enumeration needs sorted
+    indices without duplicates, so a non-canonical A is summed into a
+    canonical copy first.
     """
     m, k = A.shape
     if not issparse(A):
-        return A @ A.T if m <= k else A.T @ A
+        # NumPy forms A A^T and A^T A by one BLAS syrk and mirrors it, so the
+        # product is exactly symmetric and G.T, which dtrttf reads without a
+        # copy, has G's own lower triangle
+        G = A @ A.T if m <= k else A.T @ A
+        return dtrttf(G.T, transr="N", uplo="L")[0]
     R = A.tocsc() if m <= k else A.tocsr()
     if not R.has_canonical_format:
         R = R.copy()  # the caller's A is left as it was
         R.sum_duplicates()
     n = min(m, k)
-    G = np.zeros((n, n))
+    h, e = (n + 1) // 2, 1 - n % 2
+    ld = n + e
+    g = np.arange(n)
+    # the slot of (i, j), i >= j, is row[i + jump[j]] + col[j]
+    row = np.concatenate((g + e, (g - h + 1 - e) * ld))
+    jump, col = np.where(g < h, 0, n), np.where(g < h, g * ld, g - h)
+    F = np.zeros(n * (n + 1) // 2)
     for s in range(0, max(m, k), _GRAM_BLOCK):
         ptr = R.indptr[s : s + _GRAM_BLOCK + 1]
-        lo, hi = ptr[0], ptr[-1]
+        index, value = R.indices[ptr[0] : ptr[-1]], R.data[ptr[0] : ptr[-1]]
+        ptr = ptr - ptr[0]  # positions among this block's nonzeros
         # nonzero q, at Gram index i, pairs with the nonzeros of its summed index
         # from the first one up to q itself, whose Gram indices are the j <= i
         first = np.repeat(ptr[:-1], np.diff(ptr))
-        count = np.arange(lo, hi) - first + 1
+        count = np.arange(ptr[-1]) - first + 1
         start = first - np.cumsum(count) + count  # first minus the pairs before q's
-        partner = np.arange(count.sum()) + np.repeat(start, count)
-        flat = np.repeat(R.indices[lo:hi] * np.intp(n), count) + R.indices[partner]
-        np.add.at(G.reshape(-1), flat, np.repeat(R.data[lo:hi], count) * R.data[partner])
-    return G
+        partner = np.repeat(start, count)
+        partner += np.arange(partner.size)
+        slot = np.repeat(index, count)
+        slot += jump[index][partner]
+        slot = row[slot]
+        slot += col[index][partner]
+        products = np.repeat(value, count)
+        products *= value[partner]
+        np.add.at(F, slot, products)
+        del partner, slot, products  # so two blocks' arrays are never held at once
+    return F
 
 
 def _certified_full_rank(A: np.ndarray | csc_array | csr_array, rank_tol: float) -> bool:
@@ -302,10 +328,10 @@ def _certified_full_rank(A: np.ndarray | csc_array | csr_array, rank_tol: float)
     Numerical Algorithms, 2nd ed., section 3.5).  That bound holds in any
     summation order, so it covers a sparse A too: :func:`_gram` sums each
     entry's at most l nonzero products in ascending order of the summed index,
-    and the exact zeros it skips would add no rounding.  Of a sparse A,
-    :func:`_gram` forms only the lower triangle, which is all that dpotrf and
-    the trace read; the symmetric matrix they see is that triangle mirrored,
-    whose every entry meets the same entrywise bound
+    and the exact zeros it skips would add no rounding.  :func:`_gram` packs
+    only the lower triangle of G, in the rectangular full packed format that
+    dpftrf and the trace read; the symmetric matrix they see is that triangle
+    mirrored, whose every entry meets the same entrywise bound
     |fl(G) - G| <= gamma_l |A| |A|^T, so the norm bound holds.
 
     Together, lambda_min(A A^T or A^T A) >= tau - (m + k + 3) u f (1 + O(u))
@@ -317,9 +343,7 @@ def _certified_full_rank(A: np.ndarray | csc_array | csr_array, rank_tol: float)
     zero, NaN or infinite A.
     """
     m, k = A.shape
-    # _gram's G is C-ordered, so G.T is G in the Fortran order dpotrf reads, and
-    # the upper triangle dpotrf reads of G.T is the lower triangle of G
-    return _cholesky_proves(_gram(A).T, rank_tol * rank_tol + 4 * (m + k) * _EPS)
+    return _cholesky_proves(_gram(A), rank_tol * rank_tol + 4 * (m + k) * _EPS)
 
 
 def _rank_deficiency(A: np.ndarray | csc_array | csr_array, rank_tol: float) -> np.ndarray | None:

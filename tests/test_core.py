@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dtrttf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,17 +158,37 @@ def test_positive_definite_matches_ldl_reference():
 @pytest.mark.parametrize("shift", [4 * 6 * core._EPS, 1e-18 + 4 * 40 * core._EPS, 1e-2])
 @pytest.mark.parametrize("layout", ["fortran", "transposed"])
 def test_cholesky_proves_exactly_above_the_shifted_boundary(shift, layout):
-    # diagonal H with lambda_min = shift * trace H * (1 +- 1e-3), placed last,
-    # so only a shift written through to H's own diagonal refuses the low case
-    rest = np.array([1.0, 2.0, 3.0, 5.0])
-    verdicts = []
-    for rel in (1 - 1e-3, 1 + 1e-3):
-        a = shift * rel
-        lam = a * rest.sum() / (1 - a)  # lam = a * (rest.sum() + lam)
-        H = np.diag(np.append(rest, lam))
-        H = H.copy(order="F") if layout == "fortran" else np.ascontiguousarray(H).T
-        verdicts.append(core._cholesky_proves(H, shift))
-    assert verdicts == [False, True]
+    # diagonal H of odd and even order with lambda_min = shift * trace H * (1 +- 1e-3),
+    # placed last, so only a shift written through to H's own packed diagonal
+    # refuses the low case; dtrttf packs H whichever order its array has
+    for rest in (np.array([1.0, 2.0, 3.0, 5.0]), np.array([1.0, 2.0, 3.0, 5.0, 8.0])):
+        verdicts = []
+        for rel in (1 - 1e-3, 1 + 1e-3):
+            a = shift * rel
+            lam = a * rest.sum() / (1 - a)  # lam = a * (rest.sum() + lam)
+            H = np.diag(np.append(rest, lam))
+            H = H.copy(order="F") if layout == "fortran" else np.ascontiguousarray(H).T
+            verdicts.append(core._cholesky_proves(dtrttf(H, transr="N", uplo="L")[0], shift))
+        assert verdicts == [False, True]
+
+
+def test_cholesky_proves_reads_and_shifts_every_packed_diagonal_slot():
+    # at each order 2..16 (both parities of the packed layout) and each position t,
+    # a diagonal H whose entry t is just below or just above shift * trace H: only
+    # a trace and a shift that reach every diagonal slot, and nothing else, give
+    # False then True
+    shift = 1e-3  # so the low entry is the least one: shift * trace H < 0.2 here
+    assert core._cholesky_proves(np.array([2.0]), shift)
+    assert not core._cholesky_proves(np.array([-2.0]), shift)
+    for n in range(2, 17):
+        rest = np.arange(1.0, n)
+        for t in range(n):
+            verdicts = []
+            for rel in (1 - 1e-3, 1 + 1e-3):
+                a = shift * rel
+                H = np.diag(np.insert(rest, t, a * rest.sum() / (1 - a)))
+                verdicts.append(core._cholesky_proves(dtrttf(H, transr="N", uplo="L")[0], shift))
+            assert verdicts == [False, True], (n, t)
 
 
 def _random_full_row_rank(rng, r, c, cond):
@@ -287,20 +308,28 @@ def test_each_public_call_factors_n_once(monkeypatch):
     for name in ("schur", "solve_triangular", "ldl"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
     monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", refuse)
-    dpotrf = core.dpotrf
-    args = []
+    dpotrf, dpftrf = core.dpotrf, core.dpftrf
+    args, packed = [], []
 
     def spy(a, **kwargs):
         args.append(np.array(a))
         return dpotrf(a, **kwargs)
 
+    def packed_spy(n, a, **kwargs):
+        packed.append((n, np.array(a)))
+        return dpftrf(n, a, **kwargs)
+
     monkeypatch.setattr(core, "dpotrf", spy)
+    monkeypatch.setattr(core, "dpftrf", packed_spy)
     N = sp.as_symmetric(sp.random_pd(6, np.random.default_rng(3)))
+    shifted = N - 4 * 7 * core._EPS * N.trace() * np.eye(6)
     for f in (sp.symplectic_spectrum, sp.williamson):
         args.clear()
+        packed.clear()
         f(N)
-        assert len(args) == 2
-        assert sum(np.array_equal(a, N) for a in args) == 1
+        assert len(args) == 1 and np.array_equal(args[0], N)
+        assert len(packed) == 1 and packed[0][0] == 6
+        assert packed[0][1].tobytes() == dtrttf(shifted, transr="N", uplo="L")[0].tobytes()
 
 
 def test_spectrum_of_identity_has_single_cluster():

@@ -365,6 +365,16 @@ def test_graphs_refuse_non_integral_vertices_and_sizes(build):
         build()
 
 
+def test_the_constructor_applies_the_integer_rule_of_from_edges():
+    # LabeledGraph(...) itself once built both, and is_connected then raised TypeError
+    for order, edges in ((4, {(1.5, 2)}), (2.5, set())):
+        with pytest.raises(ValueError, match="expected an integer"):
+            sp.LabeledGraph(order, frozenset(edges))
+    G = sp.LabeledGraph(np.int64(3), frozenset({(np.int64(1), 2), (2.0, 3)}))
+    assert G == sp.path_graph(3) and G.is_connected() and type(G.order) is int
+    assert all(type(v) is int for e in G.edges for v in e)
+
+
 def test_graphs_take_numpy_integers_and_integral_floats():
     G = sp.LabeledGraph.from_edges(np.int64(3), [(np.int64(1), 2), (2.0, 3)])
     assert G == sp.path_graph(3) and type(G.order) is int

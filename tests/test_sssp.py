@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.linalg.lapack import dtrttf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -896,7 +897,7 @@ def test_direct_rows_equal_reference_reduced_rows():
 
 
 def test_verification_matrix_assembles_dense_rows_from_the_sparse_gram_order():
-    # from p = 14 the Gram-order rule builds the triangle rows sparse; the
+    # from p = 12 the Gram-order rule builds the triangle rows sparse; the
     # verification matrix asks for them dense and gets the same values
     for p in (14, 20):
         rng = np.random.default_rng(p)
@@ -1088,6 +1089,27 @@ def test_certificate_proves_a_well_conditioned_matrix(ratio):
 GRAM_BLOCK = sssp._GRAM_BLOCK
 
 
+def _packed_lower(G):
+    # the lower triangle of G in LAPACK's rectangular full packed format, TRANSR='N', UPLO='L'
+    return dtrttf(np.asarray(G, dtype=float), transr="N", uplo="L")[0]
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_gram_packs_every_entry_in_its_dtrttf_slot_at_every_order_to_16(wide):
+    # every entry of a fully nonzero A is a distinct sum, so an entry added into
+    # another's slot shows at every order 1..16, which covers both parities of
+    # the packed layout; the dense path packs its product with dtrttf itself
+    rng = np.random.default_rng(16)
+    for n in range(1, 17):
+        D = rng.standard_normal((n, n + 3) if wide else (n + 3, n))
+        full = (scipy.sparse.csr_array(D) @ scipy.sparse.csr_array(D).T if wide
+                else scipy.sparse.csr_array(D).T @ scipy.sparse.csr_array(D)).toarray()
+        G = sssp._gram(scipy.sparse.csr_array(D))
+        assert G.shape == (n * (n + 1) // 2,)
+        assert G.tobytes() == _packed_lower(full).tobytes(), n
+        assert sssp._gram(D).tobytes() == _packed_lower(D @ D.T if wide else D.T @ D).tobytes()
+
+
 @pytest.mark.parametrize("n", [GRAM_BLOCK // 2, GRAM_BLOCK, GRAM_BLOCK + 1, 2 * GRAM_BLOCK + 1])
 @pytest.mark.parametrize("wide", [True, False])
 def test_blocked_gram_triangle_equals_the_full_sparse_product_bit_for_bit(n, wide):
@@ -1097,9 +1119,8 @@ def test_blocked_gram_triangle_equals_the_full_sparse_product_bit_for_bit(n, wid
                                   data_sampler=rng.standard_normal)
     full = (A @ A.T if wide else A.T @ A).toarray()
     G = sssp._gram(A)
-    assert G.shape == (n, n) and G.flags.c_contiguous
-    # only the lower triangle is written, and nothing above the diagonal
-    assert G.tobytes() == np.tril(full).tobytes()
+    # the lower triangle, packed in the slots dtrttf gives it
+    assert G.tobytes() == _packed_lower(full).tobytes()
 
 
 @pytest.mark.parametrize("summed", [GRAM_BLOCK - 1, GRAM_BLOCK, GRAM_BLOCK + 1])
@@ -1116,8 +1137,7 @@ def test_gram_triangle_is_exact_in_either_format_and_orientation(summed, wide, f
     A = fmt(D if wide else D.T)
     full = (A @ A.T if wide else A.T @ A).toarray()
     G = sssp._gram(A)
-    assert G.shape == (n, n) and G.flags.c_contiguous
-    assert G.tobytes() == np.tril(full).tobytes()
+    assert G.tobytes() == _packed_lower(full).tobytes()
 
 
 def _compressed(fmt, shape, slices):
@@ -1146,9 +1166,9 @@ def test_gram_of_a_non_canonical_array_sums_its_duplicates(fmt, wide):
     full = (A @ A.T if wide else A.T @ A).toarray()
     D = A.toarray()
     G = sssp._gram(A)
-    assert G.tobytes() == np.tril(full).tobytes()
+    assert G.tobytes() == _packed_lower(full).tobytes()
     # the values are dyadic, so the dense product is exact
-    assert np.array_equal(G, np.tril(D @ D.T if wide else D.T @ D))
+    assert np.array_equal(G, _packed_lower(D @ D.T if wide else D.T @ D))
     assert all(np.array_equal(x, y) for x, y in zip(stored, (A.data, A.indices, A.indptr)))
 
 
@@ -1169,7 +1189,8 @@ def test_certificate_holds_little_more_than_its_gram_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.35 * 8 * g * g, (build.__name__, peak / (8 * g * g))
+        # 4 g (g + 1) bytes: the packed lower triangle of the Gram matrix
+        assert peak < 1.35 * 4 * g * (g + 1), (build.__name__, peak / (4 * g * (g + 1)))
 
 
 def _svd_only_full_rank(A, rank_tol):
