@@ -152,15 +152,35 @@ def _nonzero(N, zero_tol: float | None) -> np.ndarray:
     return np.abs(N) > zero_tol
 
 
+@lru_cache(maxsize=8)
+def _packed_slots(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where LAPACK's rectangular full packed format (TRANSR='N', UPLO='L') keeps
+    the lower triangle of a symmetric matrix of order n, in n (n + 1) / 2
+    doubles (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).
+
+    Entry (i, j), i >= j, sits at row[i + jump[j]] + col[j], the slot dtrttf
+    gives it: with k = ceil(n / 2), e = 1 - n mod 2 and ld = n + e, at
+    i + e + j ld when j < k and at (j - k) + (i - k + 1 - e) ld when j >= k.
+    Returns (row, jump, col, diag), diag holding the slots of the diagonal in
+    order.  Read-only.
+    """
+    k, e = (n + 1) // 2, 1 - n % 2
+    ld = n + e
+    g = np.arange(n)
+    row = np.concatenate((g + e, (g - k + 1 - e) * ld))
+    jump, col = np.where(g < k, 0, n), np.where(g < k, g * ld, g - k)
+    diag = row[g + jump] + col
+    for x in (row, jump, col, diag):
+        x.setflags(write=False)
+    return row, jump, col, diag
+
+
 def _cholesky_proves(F: np.ndarray, shift: float) -> bool:
     """Whether dpftrf completes on H with its diagonal lowered by shift * trace H.
 
-    F holds the lower triangle of the symmetric H of order n in LAPACK's
-    rectangular full packed format, TRANSR='N', UPLO='L': n (n + 1) / 2
-    doubles, as dtrttf packs it (Gustavson, Wasniewski, Dongarra and Langou,
-    ACM TOMS 37(2), 2010).  With k = ceil(n / 2), e = 1 - n mod 2 and
-    ld = n + e, the diagonal entries H_jj lie at F[e + j (ld + 1)] for j < k
-    and at F[(1 - e) ld + (j - k) (ld + 1)] for j >= k.  F is overwritten.
+    F holds the lower triangle of the symmetric H of order n in rectangular
+    full packed format, at the slots of :func:`_packed_slots`, as dtrttf packs
+    it.  F is overwritten.
 
     With u = eps / 2 and gamma_j = j u / (1 - j u): f = fl(trace H), summed in
     the order of the diagonal, must be positive and finite, H's diagonal is
@@ -171,8 +191,8 @@ def _cholesky_proves(F: np.ndarray, shift: float) -> bool:
     with ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1} f (1 + O(u))
     (Demmel, "On floating point errors in Cholesky", 1989; Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., section 10.1).  That
-    bound holds for any blocking: dpftrf factors the RFP blocks by the same
-    level-3 steps as a blocked dpotrf, a Cholesky of the leading block
+    bound holds for any blocking: dpftrf factors the packed blocks by the
+    same level-3 steps as a blocked dpotrf, a Cholesky of the leading block
     (dpotrf), a triangular solve for the off-diagonal block (dtrsm), a
     symmetric update of the trailing block (dsyrk) and a Cholesky of it, so
     each entry of R is still one inner product of length at most n
@@ -182,14 +202,12 @@ def _cholesky_proves(F: np.ndarray, shift: float) -> bool:
     Cholesky may complete on NaN pivots.
     """
     n = (math.isqrt(8 * F.size + 1) - 1) // 2
-    k, e = (n + 1) // 2, 1 - n % 2
-    ld = n + e
-    first, last = F[e :: ld + 1][:k], F[(1 - e) * ld :: ld + 1][: n - k]
-    f = np.concatenate((first, last)).sum()
+    diag = _packed_slots(n)[3]
+    d = F[diag]
+    f = d.sum()
     if not 0.0 < f < np.inf:
         return False
-    first -= shift * f
-    last -= shift * f
+    F[diag] = d - shift * f
     return dpftrf(n, F, transr="N", uplo="L", overwrite_a=1)[1] == 0
 
 
@@ -233,7 +251,9 @@ def _certified_pd(N: np.ndarray) -> bool:
     # is_positive_definite's proof on an exactly symmetric N
     if not np.isfinite(N).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    return _cholesky_proves(dtrttf(N, transr="N", uplo="L")[0], 4 * (N.shape[0] + 1) * _EPS)
+    # N is exactly symmetric, so N.T, which dtrttf reads without a copy, has
+    # N's own lower triangle
+    return _cholesky_proves(dtrttf(N.T, transr="N", uplo="L")[0], 4 * (N.shape[0] + 1) * _EPS)
 
 
 def _require_pd(N) -> np.ndarray:

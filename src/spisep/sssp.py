@@ -29,6 +29,7 @@ from .core import (
     _cluster_starts,
     _min_norm_solve,
     _nonzero,
+    _packed_slots,
     _require_pd,
     _williamson_columns,
     as_symmetric,
@@ -256,22 +257,20 @@ def _nonedge_pairs(N: np.ndarray, zero_tol: float | None) -> tuple[np.ndarray, n
 def _gram(A: np.ndarray | csc_array | csr_array) -> np.ndarray:
     """The lower triangle of the n x n Gram matrix of A, n = min(A.shape), A A^T
     or A^T A, packed as :func:`core._cholesky_proves` reads it: in rectangular
-    full packed format (TRANSR='N', UPLO='L'), n (n + 1) / 2 doubles.
+    full packed format, n (n + 1) / 2 doubles at the slots of
+    :func:`core._packed_slots`.
 
-    With h = ceil(n / 2), e = 1 - n mod 2 and ld = n + e, entry (i, j), i >= j,
-    sits at slot i + e + j ld when j < h and at (j - h) + (i - h + 1 - e) ld
-    when j >= h, the slots dtrttf gives it.  A dense A gives the whole product,
-    whose lower triangle dtrttf packs.  For a sparse A the n x n array is never
-    formed: with R the columns of A (CSC) when m <= k, else its rows (CSR),
-    each compressed slice of R is one summed index r, and its products
-    v_i v_j with i >= j are added into the slot of (i, j) by one sequential
-    ``np.add.at`` per ``_GRAM_BLOCK`` summed indices.  So each entry sums its
-    products in ascending r, the first onto an exact zero, whatever the format
-    of A and the chunking.  That order makes the triangle bit-identical to
-    SciPy's full sparse product A A^T or A^T A, whose Gustavson algorithm
-    happens to sum in the same order.  The pair enumeration needs sorted
-    indices without duplicates, so a non-canonical A is summed into a
-    canonical copy first.
+    A dense A gives the whole product, whose lower triangle dtrttf packs.  For
+    a sparse A the n x n array is never formed: with R the columns of A (CSC)
+    when m <= k, else its rows (CSR), each compressed slice of R is one summed
+    index r, and its products v_i v_j with i >= j are added into the slot of
+    (i, j) by one sequential ``np.add.at`` per ``_GRAM_BLOCK`` summed indices.
+    So each entry sums its products in ascending r, the first onto an exact
+    zero, whatever the format of A and the chunking.  That order makes the
+    triangle bit-identical to SciPy's full sparse product A A^T or A^T A,
+    whose Gustavson algorithm happens to sum in the same order.  The pair
+    enumeration needs sorted indices without duplicates, so a non-canonical A
+    is summed into a canonical copy first.
     """
     m, k = A.shape
     if not issparse(A):
@@ -285,12 +284,7 @@ def _gram(A: np.ndarray | csc_array | csr_array) -> np.ndarray:
         R = R.copy()  # the caller's A is left as it was
         R.sum_duplicates()
     n = min(m, k)
-    h, e = (n + 1) // 2, 1 - n % 2
-    ld = n + e
-    g = np.arange(n)
-    # the slot of (i, j), i >= j, is row[i + jump[j]] + col[j]
-    row = np.concatenate((g + e, (g - h + 1 - e) * ld))
-    jump, col = np.where(g < h, 0, n), np.where(g < h, g * ld, g - h)
+    row, jump, col, _ = _packed_slots(n)
     F = np.zeros(n * (n + 1) // 2)
     for s in range(0, max(m, k), _GRAM_BLOCK):
         ptr = R.indptr[s : s + _GRAM_BLOCK + 1]
