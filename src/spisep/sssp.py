@@ -11,6 +11,7 @@ always agree; keeping both is the central cross-check of this library.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
@@ -534,12 +535,17 @@ def _spectral_rows(S: np.ndarray, rows, cols, k: np.ndarray, l: np.ndarray) -> n
     Anal. 24, 1987).
     """
     p = S.shape[0] // 2
-    Ur, Uc, Vr, Vc = S[rows, :p], S[cols, :p], S[rows, p:], S[cols, p:]
-    re = Ur[:, k] * Uc[:, l] + Uc[:, k] * Ur[:, l] + Vr[:, k] * Vc[:, l] + Vc[:, k] * Vr[:, l]
-    im = Ur[:, k] * Vc[:, l] + Uc[:, k] * Vr[:, l] - Vr[:, k] * Uc[:, l] - Vc[:, k] * Ur[:, l]
+    Sr, Sc = S[rows], S[cols]
+    X = Sr * Sc
+    J = X[:, :p] + X[:, p:]  # U[rows] * U[cols] + V[rows] * V[cols]
+    if k.size:
+        Ur, Vr, Uc, Vc = Sr[:, :p], Sr[:, p:], Sc[:, :p], Sc[:, p:]
+        re = Ur[:, k] * Uc[:, l] + Uc[:, k] * Ur[:, l] + Vr[:, k] * Vc[:, l] + Vc[:, k] * Vr[:, l]
+        im = Ur[:, k] * Vc[:, l] + Uc[:, k] * Vr[:, l] - Vr[:, k] * Uc[:, l] - Vc[:, k] * Ur[:, l]
+        J = np.hstack([J, 0.5 * re, 0.5 * im])
     # a diagonal entry moves one entry of N, an edge entry moves two
-    half = np.where(rows == cols, 0.5, 1.0)[:, None]
-    return (np.hstack([Ur * Uc + Vr * Vc, 0.5 * re, 0.5 * im]) * half).T
+    J[rows == cols] *= 0.5
+    return J.T
 
 
 def continuation_realize(
@@ -556,6 +562,13 @@ def continuation_realize(
     of the spectrum until it matches the target.  Existence near the seed
     holds whenever the seed has the SSSP, e.g. for distinct targets; this
     routine supplies the witness.
+
+    A ``seed_matrix`` of the pattern's order replaces that start.  It must be
+    positive definite, checked (after symmetrization) before any attempt, and
+    only its free entries are read: entries off the diagonal and the edges of
+    G are dropped.  Attempt 0 starts at those free entries as they are; each
+    later attempt adds to every free entry a uniform jitter of at most 1e-2
+    times the smallest target.
 
     Each step is the minimum-norm solution of J s = -f, from one Cholesky
     factor of the r x r matrix J J.T (J has r rows, one per target plus the
@@ -587,12 +600,15 @@ def continuation_realize(
     if rng is None:
         rng = np.random.default_rng(0)
 
-    free = [(i, i) for i in range(1, G.order + 1)] + sorted(G.edges)
-    rows, cols = (np.array(ix) - 1 for ix in zip(*free))
+    # the free entries, 0-based: the diagonal, then the edges (i, j), i < j, in
+    # sorted order, which is the order of their keys i n + j
+    n = G.order
+    ends = np.fromiter(itertools.chain.from_iterable(G.edges), np.intp, 2 * len(G.edges)) - 1
+    key = np.sort(ends[0::2] * n + ends[1::2])
+    rows, cols = np.concatenate([np.arange(n), key // n]), np.concatenate([np.arange(n), key % n])
+    # the pairs k < l of targets in one cluster, in row-major order
     start = _cluster_starts(target, _PAIR_GAP)
-    k, l = np.triu_indices(p, 1)
-    near = start[k] == start[l]
-    k, l = k[near], l[near]
+    k, l = np.nonzero(np.triu(start[:, None] == start, 1))
     pair_zeros = np.zeros(2 * k.size)
 
     def build(x: np.ndarray) -> np.ndarray:
@@ -621,7 +637,7 @@ def continuation_realize(
     runs = steps = solves = rejected = stalled = singular = 0
     for attempt in range(_MAX_ATTEMPTS):
         if seed_matrix is not None:
-            jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, len(free))
+            jitter = 0.0 if attempt == 0 else scale * rng.uniform(-1.0, 1.0, rows.size)
             x = seed_x + jitter
         else:
             edges = scale * rng.choice([-1.0, 1.0], size=len(G.edges))
@@ -631,11 +647,10 @@ def continuation_realize(
             continue
         runs += 1
         f, S = point
-        norms = []
+        norms = [np.linalg.norm(f)]
         for _ in range(_MAX_STEPS):
             if np.max(np.abs(f)) <= 8 * _EPS * G.order * target[-1]:
                 break
-            norms.append(np.linalg.norm(f))
             if len(norms) > _STALL_STEPS and norms[-1] > norms[-1 - _STALL_STEPS] / 2:
                 stalled += 1
                 break
@@ -643,14 +658,18 @@ def continuation_realize(
             steps += 1
             alpha = 1.0
             while s is not None and alpha >= _MIN_STEP:
-                point = solve(x + alpha * s)
-                if point is not None and np.linalg.norm(point[0]) <= (1 - 1e-4 * alpha) * norms[-1]:
-                    break
+                trial = x + alpha * s
+                point = solve(trial)
+                if point is not None:
+                    norm = np.linalg.norm(point[0])
+                    if norm <= (1 - 1e-4 * alpha) * norms[-1]:
+                        break
                 alpha /= 2
             else:
                 singular += s is None
                 break
-            x, (f, S) = x + alpha * s, point
+            x, (f, S) = trial, point
+            norms.append(norm)
         N, err = build(x), float(np.max(np.abs(f)))
         last_err = min(last_err, err)
         if err <= _SPECTRUM_TOL:

@@ -652,6 +652,79 @@ def test_continuation_pair_rows_are_the_pairs_in_one_target_cluster(monkeypatch)
     _assert_realizes(N, G, target)
 
 
+def _four_gather_rows(S, rows, cols, k, l):
+    # the reference formula of the spectral rows: four row gathers of S
+    p = S.shape[0] // 2
+    Ur, Uc, Vr, Vc = S[rows, :p], S[cols, :p], S[rows, p:], S[cols, p:]
+    re = Ur[:, k] * Uc[:, l] + Uc[:, k] * Ur[:, l] + Vr[:, k] * Vc[:, l] + Vc[:, k] * Vr[:, l]
+    im = Ur[:, k] * Vc[:, l] + Uc[:, k] * Vr[:, l] - Vr[:, k] * Uc[:, l] - Vc[:, k] * Ur[:, l]
+    half = np.where(rows == cols, 0.5, 1.0)[:, None]
+    return (np.hstack([Ur * Uc + Vr * Vc, 0.5 * re, 0.5 * im]) * half).T
+
+
+@pytest.mark.parametrize("target, k, l", [
+    ([0.5, 0.9, 1.4, 2.0, 2.6, 3.1], [], []),
+    # a double (0, 1) and a triple (2, 3, 4)
+    ([0.7, 0.7, 1.3, 1.3, 1.3, 2.0], [0, 2, 2, 3], [1, 3, 4, 4]),
+])
+def test_spectral_rows_equal_the_four_gather_formula_bit_for_bit(target, k, l):
+    G = _random_pattern(12, np.random.default_rng(4))
+    rows, cols = _free_entries(G)
+    assert np.any(rows == cols) and np.any(rows != cols)
+    S = core._williamson_columns(sp.random_smear(target, seed=2))[1]
+    k, l = np.array(k, dtype=np.intp), np.array(l, dtype=np.intp)
+    J, want = sssp._spectral_rows(S, rows, cols, k, l), _four_gather_rows(S, rows, cols, k, l)
+    assert J.shape == want.shape == (6 + 2 * k.size, rows.size)
+    assert J.tobytes() == want.tobytes()
+    # the same memory layout too, so J J.T in the step goes through the same BLAS call
+    assert J.flags.f_contiguous and want.flags.f_contiguous
+
+
+def test_continuation_output_does_not_depend_on_how_the_graph_was_built(monkeypatch):
+    # the free entries are the sorted edges however the edge set was built, so
+    # the rng draws, the iterates and the result are the same bytes
+    rng = np.random.default_rng(8)
+    G = _random_pattern(16, rng)
+    target = np.sort(rng.uniform(0.5, 3.0, 8))
+    edges = sorted(G.edges)
+    built = [G, G.relabeled(range(1, 17))]
+    for seed in range(3):
+        shuffled = [edges[i] for i in np.random.default_rng(seed).permutation(len(edges))]
+        built.append(sp.LabeledGraph.from_edges(16, [(j, i) for i, j in shuffled]))
+        half = len(shuffled) // 2
+        built.append(sp.LabeledGraph.from_edges(16, shuffled[:half]).with_edges(shuffled[half:]))
+    seen = _count_calls(monkeypatch, sssp, "_spectral_rows")
+    out = set()
+    for H in built:
+        assert H == G
+        out.add(sp.continuation_realize(H, target, rng=np.random.default_rng(1)).tobytes())
+    assert len(out) == 1
+    want = _free_entries(G)
+    assert seen and all(np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+                        for _, rows, cols, _, _ in seen)
+
+
+@pytest.mark.parametrize("target", [
+    [0.5, 0.9, 1.4, 2.0, 2.6, 3.1],
+    [0.5, 0.9, 1.4, 1.4, 2.6, 3.1],
+    [0.6, 0.6, 0.6, 1.1, 1.1, 2.0, 2.5, 2.5],
+])
+def test_continuation_pairs_are_the_upper_triangle_pairs_in_one_cluster(target, monkeypatch):
+    # 0, 1 and 3 clusters of repeated targets; the pairs are filtered from
+    # triu_indices, in its row-major order
+    p = len(target)
+    start = core._cluster_starts(np.array(target), sssp._PAIR_GAP)
+    k, l = np.triu_indices(p, 1)
+    near = start[k] == start[l]
+    seen = _count_calls(monkeypatch, sssp, "_spectral_rows")
+    G = _random_pattern(2 * p, np.random.default_rng(p))
+    N = sp.continuation_realize(G, target, rng=np.random.default_rng(3))
+    _assert_realizes(N, G, target)
+    assert seen
+    for _, _, _, got_k, got_l in seen:
+        assert np.array_equal(got_k, k[near]) and np.array_equal(got_l, l[near])
+
+
 def test_continuation_converges_in_a_few_gauss_newton_steps(monkeypatch):
     # minimum-norm Gauss-Newton steps converge quadratically near a solution;
     # steps pinned to a trust-region boundary took 22 Jacobians here
